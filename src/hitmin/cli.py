@@ -215,7 +215,8 @@ def run_sweep(instance, args):
                     seed = _derived_seed(args.seed, ai, fi, rep)
                 try:
                     rows.extend(_run_cell(instance, a, k, frac, rep, seed, args))
-                except HitminError as exc:
+                except (HitminError, AssertionError) as exc:
+                    # AssertionError: a HittingProfile sanity bound failed
                     row = _blank_row(a, k, frac, rep, seed)
                     row["error"] = f"{type(exc).__name__}: {exc}"
                     rows.append(row)

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InvalidParameter
-from .graph import ShortcutSet, augmented_view, degree_stats
+from .graph import ShortcutSet, block_entries, degree_stats
 from .exact import _as_graph
 
 __all__ = [
@@ -86,18 +86,9 @@ def spectral_radius(graph, tol: float = 1e-6, max_iter: int = 10000) -> float:
     """
     reds = graph.red_ids
     r = reds.size
-    pos = np.full(graph.n, -1, dtype=np.int64)
-    pos[reds] = np.arange(r)
-    rows, cols = [], []
-    for i, v in enumerate(reds):
-        nb = pos[graph.neighbors(v)]
-        nb = nb[nb >= 0]
-        rows.extend([i] * nb.size)
-        cols.extend(nb.tolist())
-    if not rows:
+    rows, cols = block_entries(graph, reds)
+    if not rows.size:
         return 0.0
-    rows = np.array(rows, dtype=np.int64)
-    cols = np.array(cols, dtype=np.int64)
     inv_sqrt = 1.0 / np.sqrt(graph.degrees[reds].astype(float))
     vals = inv_sqrt[rows] * inv_sqrt[cols]
     M = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(r, r))
@@ -187,16 +178,6 @@ class Estimate:
     sampled_nodes: np.ndarray
     per_node_means: np.ndarray
     config: EstimatorConfig
-
-
-def _flat_adjacency(graph):
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    chunks = []
-    for v in range(graph.n):
-        nb = graph.neighbors(v)
-        indptr[v + 1] = indptr[v] + nb.size
-        chunks.append(nb)
-    return indptr, np.concatenate(chunks)
 
 
 def _mean_bounded_steps(indptr, indices, is_red, start, walk_length, trials, rng):
@@ -298,12 +279,11 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         sub_rng = np.random.default_rng(np.random.SeedSequence(entropy + (1,)))
         sampled = np.sort(sub_rng.choice(reds, size=size, replace=False))
 
-    indptr, indices = _flat_adjacency(graph)
     per_node = np.empty(sampled.size)
     for j, u in enumerate(sampled):
         rng_u = np.random.default_rng(np.random.SeedSequence(entropy + (0, int(u))))
         per_node[j] = _mean_bounded_steps(
-            indptr, indices, graph.is_red, int(u), ell, trials, rng_u
+            graph.indptr, graph.indices, graph.is_red, int(u), ell, trials, rng_u
         )
 
     return Estimate(
@@ -329,7 +309,7 @@ def empirical_hitting(graph, nodes=None, trials: int = 10000, seed: int = 0,
     if nodes is None:
         nodes = graph.red_ids
     nodes = np.asarray(list(nodes), dtype=np.int64)
-    indptr, indices = _flat_adjacency(graph)
+    indptr, indices = graph.indptr, graph.indices
     means = np.empty(nodes.size)
     stds = np.empty(nodes.size)
     for j, u in enumerate(nodes):
@@ -372,19 +352,10 @@ def expected_bounded_steps(instance, shortcuts=None, length: int = 1) -> np.ndar
     if length < 0:
         raise InvalidParameter(f"length must be >= 0, got {length}")
     graph = _as_graph(instance, ShortcutSet.coerce(shortcuts))
-    red = np.asarray(graph.red_ids)
-    pos_of = {int(u): i for i, u in enumerate(red)}
-    rows, cols, vals = [], [], []
-    for i, u in enumerate(red):
-        nb = graph.neighbors(int(u))
-        deg = nb.size
-        for v in nb:
-            if graph.is_red[v]:
-                rows.append(i)
-                cols.append(pos_of[int(v)])
-                vals.append(1.0 / deg)
+    red = graph.red_ids
+    rows, cols = block_entries(graph, red)
     q = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(red.size, red.size)
+        ((1.0 / graph.degrees[red])[rows], (rows, cols)), shape=(red.size, red.size)
     )
     survive = np.ones(red.size)
     total = np.zeros(red.size)

@@ -2,8 +2,14 @@
 
 For a walk absorbed by the blue group, the expected hitting times of the
 red (transient) nodes solve (I - Q) h = 1, where Q is the walk's transition
-matrix restricted to red rows and columns.  The same machinery with a single
-absorbing node gives node-to-node hitting times.
+matrix restricted to red rows and columns.  The same machinery with a
+target node or node set absorbing gives hitting times to that target.
+
+One builder, ``_transient_times``, assembles (I - Q) for any transient set
+from the graph's CSR slices (``graph.block_entries``) with no loop over
+nodes, factors it (dense LU up to ``DENSE_NODE_LIMIT`` nodes, sparse LU
+above), and accepts the solution only when its residual, after at most one
+refinement pass with the same factor, is within ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import InvalidParameter, SolverFailure
-from .graph import AugmentedView, BipartiteInstance, ShortcutSet, augmented_view
+from .graph import AugmentedView, ShortcutSet, augmented_view, block_entries
 
 __all__ = [
     "HittingProfile",
@@ -74,40 +80,24 @@ def _as_graph(instance, shortcuts):
 def _transient_times(graph, transient, dense_limit):
     """Solve (I - Q) h = 1 over the given transient node set."""
     m = transient.size
-    pos = np.full(graph.n, -1, dtype=np.int64)
-    pos[transient] = np.arange(m)
-    deg = graph.degrees
+    rows, cols = block_entries(graph, transient)
+    weights = (1.0 / graph.degrees[transient])[rows]
     b = np.ones(m)
 
     if graph.n <= dense_limit:
         A = np.eye(m)
-        for i, v in enumerate(transient):
-            nb = graph.neighbors(v)
-            t_nb = pos[nb]
-            t_nb = t_nb[t_nb >= 0]
-            A[i, t_nb] -= 1.0 / deg[v]
+        A[rows, cols] = -weights
         lu = scipy.linalg.lu_factor(A)
 
         def solve(rhs):
             return scipy.linalg.lu_solve(lu, rhs)
 
-        def matvec(x):
-            return A @ x
-
     else:
-        rows, cols, vals = [], [], []
-        for i, v in enumerate(transient):
-            rows.append(i)
-            cols.append(i)
-            vals.append(1.0)
-            w = -1.0 / deg[v]
-            for j in pos[graph.neighbors(v)]:
-                if j >= 0:
-                    rows.append(i)
-                    cols.append(int(j))
-                    vals.append(w)
+        diag = np.arange(m)
         A = scipy.sparse.csc_matrix(
-            (vals, (rows, cols)), shape=(m, m), dtype=np.float64
+            (np.concatenate((np.ones(m), -weights)),
+             (np.concatenate((diag, rows)), np.concatenate((diag, cols)))),
+            shape=(m, m),
         )
         try:
             factor = scipy.sparse.linalg.splu(A)
@@ -117,14 +107,11 @@ def _transient_times(graph, transient, dense_limit):
         def solve(rhs):
             return factor.solve(rhs)
 
-        def matvec(x):
-            return A @ x
-
     h = solve(b)
-    residual = b - matvec(h)
+    residual = b - A @ h
     if np.abs(residual).max() > RESIDUAL_TOL:
         h = h + solve(residual)
-        residual = b - matvec(h)
+        residual = b - A @ h
     worst = float(np.abs(residual).max())
     if worst > RESIDUAL_TOL:
         raise SolverFailure(

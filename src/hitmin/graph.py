@@ -1,16 +1,21 @@
 """Graph containers shared by every other module.
 
 An instance is an undirected, simple, connected graph whose nodes are split
-into a red group and a blue group.  Shortcut bookkeeping stores only the red
-endpoints of added inter-group edges: the objectives depend on nothing else,
-so the blue partners are materialized on demand by a fixed deterministic
-rule (lowest-index blue node not yet adjacent to the endpoint).
+into a red group and a blue group.  Every graph, base or augmented, is stored
+as read-only CSR arrays: ``indices[indptr[v]:indptr[v + 1]]`` lists the
+neighbours of v, and ``neighbors(v)`` returns that slice as a view.  A base
+instance keeps each row sorted ascending.  Shortcut bookkeeping stores only
+the red endpoints of added inter-group edges: the objectives depend on
+nothing else, so the blue partners are materialized on demand by a fixed
+deterministic rule (lowest-index blue node not yet adjacent to the
+endpoint).  An augmented view splices those edges into a copy of the base
+arrays, after each row's base neighbours, in ascending order.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter, defaultdict, deque
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +36,7 @@ __all__ = [
     "DegreeStats",
     "load_instance",
     "augmented_view",
+    "block_entries",
     "candidate_endpoints",
     "degree_stats",
 ]
@@ -42,7 +48,8 @@ class BipartiteInstance:
     Nodes are dense 0-based indices.  ``node_names`` keeps the external
     string identifiers when the instance came from files; generated
     instances leave it unset and fall back to the decimal index.
-    Instances are immutable after construction.
+    Instances are immutable after construction; the adjacency lives in the
+    read-only CSR arrays ``indptr`` and ``indices``, each row ascending.
     """
 
     def __init__(self, n, edges, is_red, node_names=None):
@@ -57,33 +64,32 @@ class BipartiteInstance:
             if len(node_names) != n or len(set(node_names)) != n:
                 raise InvalidParameter("node names must be unique, one per node")
 
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        count = 0
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise MalformedInput(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise MalformedInput(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise MalformedInput(f"duplicate edge {key}")
-            seen.add(key)
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-            count += 1
+        pairs = np.asarray(list(edges), dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise MalformedInput("edges must be (u, v) pairs")
+        u, v = pairs[:, 0], pairs[:, 1]
+        _check_edges(n, u, v)
+
+        # each edge appears once in the row of either end, rows ascending
+        src = np.concatenate((u, v))
+        dst = np.concatenate((v, u))
+        order = np.lexsort((dst, src))
+        src, indices = src[order], dst[order]
+        degrees = np.bincount(src, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
 
         self.n = n
-        self.edge_count = count
-        self._adj = [np.array(sorted(a), dtype=np.int64) for a in nbrs]
+        self.edge_count = int(pairs.shape[0])
+        self.indptr = indptr
+        self.indices = indices
         self.is_red = is_red
-        self.degrees = np.array([len(a) for a in nbrs], dtype=np.int64)
-        self.blue_degree = np.array(
-            [int(np.count_nonzero(~is_red[a])) if a.size else 0 for a in self._adj],
-            dtype=np.int64,
-        )
-        for arr in (self.is_red, self.degrees, self.blue_degree):
+        self.degrees = degrees
+        self.blue_degree = np.bincount(src[~is_red[indices]], minlength=n)
+        for arr in (self.indptr, self.indices, self.is_red, self.degrees,
+                    self.blue_degree):
             arr.setflags(write=False)
         self.red_ids = np.flatnonzero(is_red)
         self.blue_ids = np.flatnonzero(~is_red)
@@ -97,17 +103,20 @@ class BipartiteInstance:
         self._check_connected()
 
     def _check_connected(self):
-        seen = np.zeros(self.n, dtype=bool)
-        queue = deque([0])
+        # a plain search: on small graphs a scipy traversal costs more to set
+        # up than the whole search
+        indptr, indices = memoryview(self.indptr), memoryview(self.indices)
+        seen = [False] * self.n
         seen[0] = True
+        stack = [0]
         reached = 1
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
+        while stack:
+            v = stack.pop()
+            for w in indices[indptr[v]:indptr[v + 1]]:
                 if not seen[w]:
                     seen[w] = True
                     reached += 1
-                    queue.append(int(w))
+                    stack.append(w)
         if reached != self.n:
             raise DisconnectedGraph(
                 f"graph has {self.n - reached} node(s) unreachable from node 0"
@@ -122,7 +131,7 @@ class BipartiteInstance:
         return int(self.blue_ids.size)
 
     def neighbors(self, v) -> np.ndarray:
-        return self._adj[v]
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def name_of(self, v) -> str:
         return self.node_names[v] if self.node_names else str(int(v))
@@ -143,10 +152,9 @@ class BipartiteInstance:
 
     def iter_edges(self):
         """Yield each undirected edge once as (u, v) with u < v."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if v > u:
-                    yield u, int(v)
+        rows = np.repeat(np.arange(self.n), self.degrees)
+        upper = self.indices > rows
+        yield from zip(rows[upper].tolist(), self.indices[upper].tolist())
 
     def to_edge_lines(self) -> list[str]:
         return [f"{self.name_of(u)} {self.name_of(v)}" for u, v in self.iter_edges()]
@@ -208,7 +216,9 @@ class AugmentedView:
 
     Each multiset entry r gains one edge to the lowest-index blue node not
     yet adjacent to r, so equal shortcut multisets always produce the same
-    augmented graph.  The base instance is never modified.
+    augmented graph.  The added edges are spliced into a copy of the base
+    CSR arrays: each row lists its base neighbours first, then its added
+    partners in ascending order.  The base instance is never modified.
     """
 
     def __init__(self, base: BipartiteInstance, shortcuts: ShortcutSet):
@@ -220,36 +230,42 @@ class AugmentedView:
         self.blue_ids = base.blue_ids
 
         counts = shortcuts.counts()
-        degrees = base.degrees.copy()
         blue_degree = base.blue_degree.copy()
-        extra = defaultdict(list)
-        added = 0
+        ends: list[int] = []
+        partners: list[int] = []
         for r in sorted(counts):
             c = counts[r]
             if not 0 <= r < base.n or not base.is_red[r]:
                 raise InvalidParameter(f"shortcut endpoint {r} is not a red node")
-            taken = np.isin(base.blue_ids, base.neighbors(r), assume_unique=True)
-            free = base.blue_ids[~taken]
+            open_slot = np.ones(base.n, dtype=bool)
+            open_slot[base.neighbors(r)] = False
+            free = base.blue_ids[open_slot[base.blue_ids]]
             if free.size < c:
                 raise CapacityExceeded(
                     f"endpoint {r} has {free.size} free blue slot(s), needs {c}"
                 )
-            chosen = free[:c]
-            extra[r].extend(int(b) for b in chosen)
-            for b in chosen:
-                extra[int(b)].append(r)
-            degrees[r] += c
-            degrees[chosen] += 1
+            ends.extend([r] * c)
+            partners.extend(free[:c].tolist())
             blue_degree[r] += c
-            added += c
 
-        self.degrees = degrees
         self.blue_degree = blue_degree
-        self.edge_count = base.edge_count + added
-        self._merged = {
-            v: np.concatenate((base.neighbors(v), np.array(sorted(lst), dtype=np.int64)))
-            for v, lst in extra.items()
-        }
+        self.edge_count = base.edge_count + len(ends)
+        if not ends:
+            self.indptr, self.indices = base.indptr, base.indices
+            self.degrees = base.degrees
+            return
+        src = np.array(ends + partners, dtype=np.int64)
+        dst = np.array(partners + ends, dtype=np.int64)
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
+        added = np.bincount(src, minlength=base.n)
+        self.degrees = base.degrees + added
+        # np.insert keeps the given order among values at one position
+        self.indices = np.insert(base.indices, base.indptr[src + 1], dst)
+        self.indptr = base.indptr.copy()
+        np.cumsum(self.degrees, out=self.indptr[1:])
+        self.indices.setflags(write=False)
+        self.indptr.setflags(write=False)
 
     @property
     def red_count(self) -> int:
@@ -260,8 +276,7 @@ class AugmentedView:
         return self.base.blue_count
 
     def neighbors(self, v) -> np.ndarray:
-        got = self._merged.get(int(v))
-        return got if got is not None else self.base.neighbors(v)
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def __repr__(self):
         return f"AugmentedView(base={self.base!r}, shortcuts={self.shortcuts.endpoints})"
@@ -287,8 +302,47 @@ def degree_stats(graph) -> DegreeStats:
     return DegreeStats(mean_red_degree=mean, degrees=graph.degrees)
 
 
+def _check_edges(n, u, v):
+    """Raise on the first edge, in input order, that is out of range, a
+    self-loop, or a repeat of an earlier edge."""
+    out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(u.size, dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    bad = np.flatnonzero(out_of_range | (u == v) | repeat)
+    if not bad.size:
+        return
+    i = bad[0]
+    if out_of_range[i]:
+        raise MalformedInput(f"edge ({u[i]}, {v[i]}) out of range for n={n}")
+    if u[i] == v[i]:
+        raise MalformedInput(f"self-loop at node {u[i]}")
+    raise MalformedInput(f"duplicate edge {(int(lo[i]), int(hi[i]))}")
+
+
+def block_entries(graph, nodes):
+    """Entries of the adjacency block induced on ``nodes``, without a loop
+    over nodes.
+
+    Returns (rows, cols), the positions within ``nodes`` of both ends of
+    every edge whose ends both lie in ``nodes``.  Entries come row by row in
+    the order of ``nodes`` and, within a row, in the graph's CSR order.
+    """
+    pos = np.full(graph.n, -1, dtype=np.int64)
+    pos[nodes] = np.arange(nodes.size)
+    starts = graph.indptr[nodes]
+    counts = graph.indptr[nodes + 1] - starts
+    rows = np.repeat(np.arange(nodes.size), counts)
+    within = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cols = pos[graph.indices[np.repeat(starts, counts) + within]]
+    keep = cols >= 0
+    return rows[keep], cols[keep]
+
+
 def augmented_view(instance: BipartiteInstance, shortcuts=None) -> AugmentedView:
-    """Overlay ``shortcuts`` on ``instance`` without copying the base graph."""
+    """Overlay ``shortcuts`` on ``instance``; the instance is never modified."""
     return AugmentedView(instance, ShortcutSet.coerce(shortcuts))
 
 

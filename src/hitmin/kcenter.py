@@ -2,7 +2,9 @@
 
 Expected hitting times between red nodes, together with a synthetic point
 standing in for the whole blue group, form a quasi-metric: the triangle
-inequality holds but symmetry does not.  Placing at most k centers under
+inequality holds but symmetry does not.  The table comes from one
+factorization of the grounded graph Laplacian, with the direct solver as a
+checked fallback (``build_quasi_metric``).  Placing at most k centers under
 that metric (the blue point is a free fixed center) and wiring each center
 to the blue side gives a heuristic shortcut set for the max objective; no
 approximation factor is proved here, and the covering radius is a
@@ -19,10 +21,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import InstanceTooLarge, InvalidParameter
-from .exact import hitting_to_blue, hitting_to_target
-from .graph import ShortcutSet
+from .exact import DENSE_NODE_LIMIT, RESIDUAL_TOL, hitting_to_blue, hitting_to_target
+from .graph import ShortcutSet, block_entries
 from .optimize import GreedyTrace, brute_force_opt, greedy_exact, greedy_plus
 
 __all__ = [
@@ -43,6 +48,10 @@ MAX_DENSE_RED = 5000
 # sentinel for the synthetic point standing in for the blue group
 BLUE_POINT = "b"
 
+# red targets solved together; caps the quasi-metric build's working set at
+# a few n x QM_BLOCK arrays instead of n x |R|
+QM_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class QuasiMetric:
@@ -53,10 +62,13 @@ class QuasiMetric:
     index is the blue point.  Entry [u, v] is the expected number of steps
     for a walk started at u to first reach v.  Diagonal entries are zero
     and the triangle inequality holds, but the table is not symmetric.
+    ``fallback_columns`` counts the red-target columns that missed the
+    residual gate on the factored path and were re-solved directly.
     """
 
     red_ids: np.ndarray
     table: np.ndarray
+    fallback_columns: int = 0
 
     @property
     def blue_index(self) -> int:
@@ -89,13 +101,28 @@ class CenterSolution:
     radius: float
 
 
-def build_quasi_metric(instance) -> QuasiMetric:
-    """Assemble the full distance table from exact linear solves.
+def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
+    """Assemble the full distance table from one Laplacian factorization.
 
-    One absorbing solve per red target fills that target's column,
-    including the blue-point row (the worst blue starting node); one solve
-    with the whole blue group absorbing fills the blue-point column.  The
-    column solves are independent of each other.
+    With L = D - A the graph Laplacian, d the degree vector and m the edge
+    count, the hitting times h = H(., v) to a node v solve
+    L h = d - 2m e_v with h_v = 0; in closed form
+    H(u, v) = 2m (L+_vv - L+_uv) + (L+ d)_u - (L+ d)_v
+    (Tetali, "Random walks and the effective resistance of networks", 1991;
+    Lovasz, "Random walks on graphs: a survey", 1993).  Instead of the
+    pseudo-inverse, L is factored once grounded at its highest-degree node
+    (that row and column removed, its value fixed at 0): dense Cholesky up
+    to ``dense_limit`` nodes, sparse LU above.  The red targets'
+    right-hand sides are solved QM_BLOCK columns at a time, with one
+    refinement pass on the same factor, and each column is shifted so
+    h_v = 0.
+
+    Each column must then pass the absorbing-chain residual gate
+    |(I - P) h - 1| <= RESIDUAL_TOL on every node but v, as the direct
+    solver's does.  A column that misses it is re-solved with
+    ``hitting_to_target`` and counted in ``fallback_columns``.  The blue-point
+    row holds the worst blue starting node; the blue-point column comes
+    from one ``hitting_to_blue`` solve.
     """
     red_ids = np.asarray(instance.red_ids)
     r = len(red_ids)
@@ -105,15 +132,73 @@ def build_quasi_metric(instance) -> QuasiMetric:
         )
     blue_ids = np.asarray(instance.blue_ids)
     table = np.zeros((r + 1, r + 1))
+    table[:r, r] = hitting_to_blue(instance, dense_limit=dense_limit).times
 
-    profile = hitting_to_blue(instance)
-    table[:r, r] = profile.times
+    n = instance.n
+    deg = instance.degrees.astype(float)
+    adjacency = scipy.sparse.csr_matrix(
+        (np.ones(instance.indices.size), instance.indices, instance.indptr),
+        shape=(n, n),
+    )
+    # the gate also checks the grounded node's dropped equation, whose
+    # residual is minus the sum of all the others divided by that node's
+    # degree; grounded at a degree-1 node (a lollipop's blue head), most
+    # columns missed the gate
+    ground = int(np.argmax(instance.degrees))
+    keep = np.delete(np.arange(n), ground)
+    rows, cols = block_entries(instance, keep)
+    diag = np.arange(n - 1)
+    grounded = scipy.sparse.csr_matrix(
+        (np.concatenate((deg[keep], -np.ones(rows.size))),
+         (np.concatenate((diag, rows)), np.concatenate((diag, cols)))),
+        shape=(n - 1, n - 1),
+    )
+    if n <= dense_limit:
+        # Fortran order lets the factorization overwrite the array in place
+        dense = grounded.toarray(order="F")
+        factor = scipy.linalg.cho_factor(dense, overwrite_a=True)
 
-    for j in range(r):
-        h = hitting_to_target(instance, int(red_ids[j]))
-        table[:r, j] = h[red_ids]
-        table[r, j] = float(h[blue_ids].max())
-    return QuasiMetric(red_ids=red_ids, table=table)
+        def solve(rhs):
+            return scipy.linalg.cho_solve(factor, rhs)
+
+    else:
+        solve = scipy.sparse.linalg.splu(grounded.tocsc()).solve
+
+    fallbacks = 0
+    for lo in range(0, r, QM_BLOCK):
+        targets = red_ids[lo:lo + QM_BLOCK]
+        h = _target_columns(solve, grounded, ground, deg, targets)
+        gate = adjacency @ h
+        gate /= deg[:, None]
+        gate -= h
+        gate += 1.0
+        gate[targets, np.arange(targets.size)] = 0.0
+        for j in np.flatnonzero(np.abs(gate).max(axis=0) > RESIDUAL_TOL):
+            h[:, j] = hitting_to_target(instance, int(targets[j]), dense_limit)
+            fallbacks += 1
+        table[:r, lo:lo + targets.size] = h[red_ids]
+        table[r, lo:lo + targets.size] = h[blue_ids].max(axis=0)
+    return QuasiMetric(red_ids=red_ids, table=table, fallback_columns=fallbacks)
+
+
+def _target_columns(solve, grounded, ground, deg, targets):
+    """Hitting times from every node to each target, one column per target.
+
+    Solves the grounded system for the right-hand sides d - 2m e_v, refines
+    once with the same factor, and shifts each column to 0 at its target.
+    A target at the grounded node keeps d alone: its row is the one dropped.
+    """
+    cols = np.arange(targets.size)
+    rows = targets - (targets > ground)
+    kept = targets != ground
+    rhs = np.repeat(np.delete(deg, ground)[:, None], targets.size, axis=1)
+    rhs[rows[kept], cols[kept]] -= deg.sum()
+    x = solve(rhs)
+    rhs -= grounded @ x
+    x += solve(rhs)
+    h = np.insert(x, ground, 0.0, axis=0)
+    h -= h[targets, cols]
+    return h
 
 
 def _greedy_cover(table, r_count, blue_col, radius, k):

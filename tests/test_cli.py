@@ -174,3 +174,26 @@ def test_parse_gen_spec_rejects_malformed():
         parse_gen_spec("path;length=5;blue=2;bogus=1")
     with pytest.raises(InvalidParameter):
         parse_gen_spec("path;length=5")
+
+
+def test_run_sweep_records_assertion_failures_and_continues(tmp_path, monkeypatch):
+    # a HittingProfile sanity bound raises AssertionError; only its cell fails
+    import hitmin.cli
+
+    def violated(instance, k):
+        raise AssertionError("max/mean hitting-time ratio bound violated")
+
+    monkeypatch.setattr(hitmin.cli, "top_hitting_baseline", violated)
+    out = tmp_path / "assert.csv"
+    rc = main(["run", "--gen", "path;length=5;blue=2",
+               "--algorithms", "greedy,top_hitting", "--fractions", "0.5",
+               "--seed", "1", "--output", str(out)])
+    assert rc == 0
+    rows = read_rows(out)
+    failed = [r for r in rows if r["algorithm"] == "top_hitting"]
+    assert len(failed) == 1
+    assert failed[0]["error"].startswith("AssertionError")
+    assert failed[0]["g_exact"] == ""
+    greedy = [r for r in rows if r["algorithm"] == "greedy"]
+    assert [(r["edges"], r["g_exact"]) for r in greedy] == [("1", "2.75"), ("2", "2.0")]
+    assert all(r["error"] == "" for r in greedy)

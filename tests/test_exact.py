@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from hitmin import (
     BipartiteInstance,
     HittingProfile,
     InvalidParameter,
     ShortcutSet,
+    augmented_view,
+    candidate_endpoints,
     evaluate,
     gen_path,
     gen_planted_two_community,
     hitting_to_blue,
     hitting_to_target,
 )
+from hitmin.exact import DENSE_NODE_LIMIT, _transient_times
 
 
 def test_path5_hand_solved_times(path5):
@@ -123,3 +128,32 @@ def test_times_within_cubic_envelope():
         profile = hitting_to_blue(inst)
         assert np.all(profile.times >= 1.0)
         assert np.all(profile.times <= inst.n**3)
+
+
+def _loop_matrix(graph, transient):
+    # the row-by-row assembly that the vectorized builder replaced
+    pos = np.full(graph.n, -1, dtype=np.int64)
+    pos[transient] = np.arange(transient.size)
+    A = np.eye(transient.size)
+    for i, v in enumerate(transient):
+        t_nb = pos[graph.neighbors(v)]
+        A[i, t_nb[t_nb >= 0]] -= 1.0 / graph.degrees[v]
+    return A
+
+
+def test_transient_matrix_matches_row_loop(monkeypatch):
+    inst = gen_planted_two_community(6, 6, 0.5, 0.2, 3)
+    r = max(candidate_endpoints(inst),
+            key=lambda v: inst.blue_count - inst.blue_degree[v])
+    graph = augmented_view(inst, ShortcutSet((r, r)))
+    seen = []
+    dense, sparse = scipy.linalg.lu_factor, scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda a: (seen.append(a.copy()), dense(a))[1])
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda a: (seen.append(a.toarray()), sparse(a))[1])
+    for transient in (graph.red_ids, np.delete(np.arange(graph.n), r)):
+        for dense_limit in (DENSE_NODE_LIMIT, 0):
+            seen.clear()
+            _transient_times(graph, transient, dense_limit)
+            np.testing.assert_array_equal(seen[0], _loop_matrix(graph, transient))

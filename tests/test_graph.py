@@ -15,8 +15,10 @@ from hitmin import (
     augmented_view,
     candidate_endpoints,
     degree_stats,
+    gen_planted_two_community,
     load_instance,
 )
+from hitmin.graph import block_entries
 
 
 def test_construction_rejects_disconnected():
@@ -137,3 +139,38 @@ def test_serialization_roundtrip(path5):
     assert back.red_count == path5.red_count
     assert sorted(back.degrees) == sorted(path5.degrees)
     assert sorted(back.blue_degree) == sorted(path5.blue_degree)
+
+
+def _two_blue_instance():
+    # red 0, 1, 2 and blue 3, 4, 5; red 0 already touches blue 5
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
+    return BipartiteInstance(6, edges, [True, True, True, False, False, False])
+
+
+def test_augmented_view_splices_csr_rows():
+    base = _two_blue_instance()
+    indptr, indices = base.indptr.copy(), base.indices.copy()
+    view = augmented_view(base, ShortcutSet((1, 0, 0)))
+    # 0 takes blue 3 and 4, 1 takes blue 3; base neighbours first, then the
+    # added partners in ascending order
+    rows = [list(view.indices[view.indptr[v]:view.indptr[v + 1]]) for v in range(6)]
+    assert rows == [[1, 5, 3, 4], [0, 2, 3], [1, 3], [2, 4, 0, 1], [3, 5, 0], [0, 4]]
+    assert [list(view.neighbors(v)) for v in range(6)] == rows
+    assert list(view.degrees) == [len(r) for r in rows]
+    np.testing.assert_array_equal(base.indptr, indptr)
+    np.testing.assert_array_equal(base.indices, indices)
+    for arr in (base.indptr, base.indices, view.indptr, view.indices):
+        assert not arr.flags.writeable
+    assert np.shares_memory(base.neighbors(3), base.indices)
+
+
+def test_block_entries_match_a_loop_over_rows():
+    inst = gen_planted_two_community(6, 6, 0.5, 0.2, 3)
+    r = candidate_endpoints(inst)[0]
+    for graph in (inst, augmented_view(inst, ShortcutSet((r,)))):
+        for nodes in (graph.red_ids, np.flatnonzero(np.arange(graph.n) != r)):
+            pos = {int(v): i for i, v in enumerate(nodes)}
+            expect = [(i, pos[int(w)]) for i, v in enumerate(nodes)
+                      for w in graph.neighbors(v) if int(w) in pos]
+            rows, cols = block_entries(graph, nodes)
+            assert list(zip(rows.tolist(), cols.tolist())) == expect

@@ -9,11 +9,16 @@ from hitmin import (
     asym_k_center_fixed,
     build_quasi_metric,
     evaluate,
+    gen_lollipop,
     gen_planted_two_community,
+    gen_star_path_clique,
+    hitting_to_blue,
+    hitting_to_target,
     kcenter_shortcuts,
     lower_bound_check,
     minmax_via_mean,
 )
+from hitmin.exact import DENSE_NODE_LIMIT
 
 PATH3_TABLE = [
     [0.0, 1.0, 4.0],
@@ -195,3 +200,46 @@ def test_lower_bound_size_guard(path5):
 
     with pytest.raises(InstanceTooLarge):
         lower_bound_check(path5, 2, max_subsets=2)
+
+
+def _per_target_table(inst, dense_limit):
+    # one absorbing solve per red target, as the table was first built
+    red, blue = inst.red_ids, inst.blue_ids
+    r = len(red)
+    table = np.zeros((r + 1, r + 1))
+    table[:r, r] = hitting_to_blue(inst, dense_limit=dense_limit).times
+    for j, v in enumerate(red):
+        h = hitting_to_target(inst, int(v), dense_limit)
+        table[:r, j] = h[red]
+        table[r, j] = h[blue].max()
+    return table
+
+
+@pytest.mark.parametrize("dense_limit", [DENSE_NODE_LIMIT, 0])
+def test_quasi_metric_matches_per_target_solves(tiny_batch, path5, dense_limit):
+    cases = [(inst, 1e-12) for inst in tiny_batch[:10] + [path5]]
+    # ill-conditioned: long paths and a slow-to-leave clique
+    cases += [(gen_lollipop(200, 30), 1e-9), (gen_star_path_clique(256), 1e-9)]
+    for inst, rtol in cases:
+        qm = build_quasi_metric(inst, dense_limit=dense_limit)
+        assert qm.fallback_columns == 0
+        np.testing.assert_allclose(qm.table, _per_target_table(inst, dense_limit),
+                                   rtol=rtol, atol=0)
+
+
+def test_quasi_metric_resolves_a_column_that_misses_the_gate(monkeypatch, path5):
+    import hitmin.kcenter
+
+    factored = hitmin.kcenter._target_columns
+
+    def corrupt_second_column(*args):
+        h = factored(*args)
+        h[:, 1] *= 1.5
+        return h
+
+    monkeypatch.setattr(hitmin.kcenter, "_target_columns", corrupt_second_column)
+    qm = build_quasi_metric(path5)
+    assert qm.fallback_columns == 1
+    np.testing.assert_allclose(qm.table, PATH5_TABLE, atol=1e-9)
+    np.testing.assert_allclose(qm.table, _per_target_table(path5, DENSE_NODE_LIMIT),
+                               rtol=1e-12, atol=0)
