@@ -14,13 +14,11 @@ from .errors import (CapacityExceeded, DisconnectedGraph, GenerationFailed,
                      HitminError, InstanceTooLarge, InvalidBipartition,
                      InvalidParameter, MalformedInput, SolverFailure)
 from .graph import (AugmentedView, BipartiteInstance, ShortcutSet,
-                    augmented_view, candidate_endpoints, degree_stats,
-                    load_instance)
+                    augmented_view, candidate_endpoints, load_instance)
 from .exact import HittingProfile, evaluate, hitting_to_blue, hitting_to_target
-from .estimator import (Estimate, EstimatorConfig, bounded_walk,
-                        empirical_hitting, estimate_mean_hitting,
-                        expected_bounded_steps, sample_count, spectral_radius,
-                        truncation_length)
+from .estimator import (Estimate, EstimatorConfig, empirical_hitting,
+                        estimate_mean_hitting, expected_bounded_steps,
+                        sample_count, spectral_radius, truncation_length)
 from .optimize import (GreedyTrace, TraceEntry, brute_force_opt, greedy_exact,
                        greedy_plus, iteration_budget, pure_random,
                        top_hitting_baseline)
@@ -37,9 +35,9 @@ __all__ = [
     "CapacityExceeded", "InvalidParameter", "SolverFailure", "InstanceTooLarge",
     "GenerationFailed",
     "BipartiteInstance", "ShortcutSet", "AugmentedView", "augmented_view",
-    "candidate_endpoints", "degree_stats", "load_instance",
+    "candidate_endpoints", "load_instance",
     "HittingProfile", "evaluate", "hitting_to_blue", "hitting_to_target",
-    "Estimate", "EstimatorConfig", "bounded_walk", "empirical_hitting",
+    "Estimate", "EstimatorConfig", "empirical_hitting",
     "estimate_mean_hitting", "expected_bounded_steps", "sample_count",
     "spectral_radius", "truncation_length",
     "GreedyTrace", "TraceEntry", "brute_force_opt", "greedy_exact",

@@ -27,13 +27,13 @@ from .generators import (gen_lollipop, gen_path, gen_planted_two_community,
                          gen_star_path_clique)
 from .graph import ShortcutSet, load_instance
 from .kcenter import kcenter_shortcuts, minmax_via_mean
-from .optimize import greedy_exact, greedy_plus, pure_random, top_hitting_baseline
+from .optimize import (GreedyTrace, greedy_exact, greedy_plus, pure_random,
+                       top_hitting_baseline)
 from .verify import has_failure, run_checks, summarize
 
 ALGORITHMS = ("greedy", "greedy_plus", "asymm", "bmah_route",
               "pure_random", "top_hitting")
 RANDOMIZED = frozenset({"greedy_plus", "pure_random"})
-SEQUENTIAL = frozenset({"greedy", "greedy_plus", "bmah_route"})
 
 CSV_HEADER = ["algorithm", "k", "fraction", "rep", "seed",
               "g_exact", "f_exact", "edges", "eval_count", "wall_ms", "error"]
@@ -56,10 +56,8 @@ def parse_gen_spec(spec: str, default_seed=None):
     known = {
         "path": {"length", "blue"},
         "star_path_clique": {"n"},
-        "star-path-clique": {"n"},
         "lollipop": {"path_len", "clique_size"},
         "planted": {"n_red", "n_blue", "p_in", "p_out", "seed"},
-        "planted_two_community": {"n_red", "n_blue", "p_in", "p_out", "seed"},
     }
     if family not in known:
         raise InvalidParameter(f"unknown generator family {family!r}")
@@ -77,7 +75,7 @@ def parse_gen_spec(spec: str, default_seed=None):
     if family == "path":
         blue = [int(x) for x in need("blue", str).split(",")]
         return gen_path(need("length"), blue)
-    if family in ("star_path_clique", "star-path-clique"):
+    if family == "star_path_clique":
         return gen_star_path_clique(need("n"))
     if family == "lollipop":
         return gen_lollipop(need("path_len"), need("clique_size"))
@@ -139,53 +137,37 @@ def _score_row(row, instance, shortcuts, edges, eval_count, wall_ms):
     return row
 
 
-def _sequential_rows(instance, trace, endpoints, algorithm, k, fraction, rep, seed):
-    rows = []
-    for j, entry in enumerate(trace.entries, start=1):
-        row = _blank_row(algorithm, k, fraction, rep, seed)
-        rows.append(_score_row(row, instance, ShortcutSet(endpoints[:j]),
-                               j, entry.evaluations, entry.wall_ms))
-    if not trace.entries:
-        row = _blank_row(algorithm, k, fraction, rep, seed)
-        rows.append(_score_row(row, instance, None, 0, trace.evaluations, 0.0))
-    return rows
+# algorithm -> call(instance, k, seed, args).  A sequential algorithm
+# returns (shortcuts, GreedyTrace), a one-shot one (shortcuts, eval_count).
+# The lambdas look the callees up in this module when called, so a caller
+# that patches a binding here sees every call.
+_CALLS = {
+    "greedy": lambda inst, k, seed, args: greedy_exact(inst, k, epsilon=args.epsilon),
+    "greedy_plus": lambda inst, k, seed, args: greedy_plus(
+        inst, k, epsilon=args.epsilon, estimator_config=_estimator_config(args, seed)),
+    "asymm": lambda inst, k, seed, args: (kcenter_shortcuts(inst, k)[0],
+                                          inst.red_count + 1),
+    "bmah_route": lambda inst, k, seed, args: minmax_via_mean(inst, k, epsilon=args.epsilon),
+    "pure_random": lambda inst, k, seed, args: (pure_random(inst, k, seed), 0),
+    "top_hitting": lambda inst, k, seed, args: (top_hitting_baseline(inst, k), 1),
+}
 
 
 def _run_cell(instance, algorithm, k, fraction, rep, seed, args):
-    if algorithm == "greedy":
-        _shortcuts, trace = greedy_exact(instance, k, epsilon=args.epsilon)
-        return _sequential_rows(instance, trace, trace.endpoints,
-                                "greedy", k, fraction, rep, None)
-    if algorithm == "bmah_route":
-        _shortcuts, trace = minmax_via_mean(instance, k, epsilon=args.epsilon)
-        return _sequential_rows(instance, trace, trace.endpoints,
-                                "bmah_route", k, fraction, rep, None)
-    if algorithm == "greedy_plus":
-        cfg = _estimator_config(args, seed)
-        _shortcuts, trace = greedy_plus(instance, k, epsilon=args.epsilon,
-                                        estimator_config=cfg)
-        return _sequential_rows(instance, trace, trace.endpoints,
-                                "greedy_plus", k, fraction, rep, seed)
-    if algorithm == "asymm":
-        started = time.perf_counter()
-        shortcuts, _solution = kcenter_shortcuts(instance, k)
-        wall = (time.perf_counter() - started) * 1000.0
-        row = _blank_row("asymm", k, fraction, rep, None)
-        return [_score_row(row, instance, shortcuts, shortcuts.k_used,
-                           instance.red_count + 1, wall)]
-    if algorithm == "pure_random":
-        started = time.perf_counter()
-        shortcuts = pure_random(instance, k, seed)
-        wall = (time.perf_counter() - started) * 1000.0
-        row = _blank_row("pure_random", k, fraction, rep, seed)
-        return [_score_row(row, instance, shortcuts, shortcuts.k_used, 0, wall)]
-    if algorithm == "top_hitting":
-        started = time.perf_counter()
-        shortcuts = top_hitting_baseline(instance, k)
-        wall = (time.perf_counter() - started) * 1000.0
-        row = _blank_row("top_hitting", k, fraction, rep, None)
-        return [_score_row(row, instance, shortcuts, shortcuts.k_used, 1, wall)]
-    raise InvalidParameter(f"unknown algorithm {algorithm!r}")
+    def row(shortcuts, edges, eval_count, wall_ms):
+        return _score_row(_blank_row(algorithm, k, fraction, rep, seed),
+                          instance, shortcuts, edges, eval_count, wall_ms)
+
+    started = time.perf_counter()
+    shortcuts, result = _CALLS[algorithm](instance, k, seed, args)
+    wall = (time.perf_counter() - started) * 1000.0
+    if not isinstance(result, GreedyTrace):
+        return [row(shortcuts, shortcuts.k_used, result, wall)]
+    # one row per incremental edge, scored on the trace's prefix
+    endpoints = result.endpoints
+    rows = [row(ShortcutSet(endpoints[:j]), j, entry.evaluations, entry.wall_ms)
+            for j, entry in enumerate(result.entries, start=1)]
+    return rows or [row(None, 0, result.evaluations, 0.0)]
 
 
 def run_sweep(instance, args):

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InvalidParameter
-from .graph import ShortcutSet, block_entries, degree_stats
+from .graph import ShortcutSet, block_entries
 from .exact import _as_graph
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "truncation_length",
     "sample_count",
     "spectral_radius",
-    "bounded_walk",
     "estimate_mean_hitting",
     "empirical_hitting",
     "expected_bounded_steps",
@@ -111,26 +110,6 @@ def spectral_radius(graph, tol: float = 1e-6, max_iter: int = 10000) -> float:
     return min(est, _SPECTRAL_CAP)
 
 
-def bounded_walk(graph, start: int, walk_length: int, rng) -> int:
-    """Steps taken by one absorbing walk from ``start``, truncated at the bound.
-
-    Returns the number of edge traversals: the step that first lands on a
-    blue node, or ``walk_length`` if the walk never gets absorbed.  A bound
-    of 0 returns 0 without moving.
-    """
-    if not graph.is_red[start]:
-        raise InvalidParameter(f"walks must start at a red node, got {start}")
-    if walk_length < 0:
-        raise InvalidParameter("walk length must be nonnegative")
-    v = int(start)
-    for step in range(1, int(walk_length) + 1):
-        nb = graph.neighbors(v)
-        v = int(nb[rng.integers(0, nb.size)])
-        if not graph.is_red[v]:
-            return step
-    return int(walk_length)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Knobs for the sampled estimator.
@@ -180,14 +159,18 @@ class Estimate:
     config: EstimatorConfig
 
 
-def _mean_bounded_steps(indptr, indices, is_red, start, walk_length, trials, rng):
-    """Vectorized batch of bounded absorbing walks from one start node."""
-    if walk_length == 0:
-        return 0.0
+def _walk_steps(graph, start, trials, limit, rng):
+    """Batch of ``trials`` absorbing walks from ``start``, cut at ``limit`` steps.
+
+    Returns (steps, still_red): each walk's step count at its first blue
+    node, ``limit`` for a walk not absorbed by then, and the number of such
+    walks.  Each step draws one ``rng.integers(0, deg)`` over the live walks.
+    """
+    indptr, indices, is_red = graph.indptr, graph.indices, graph.is_red
     pos = np.full(trials, start, dtype=np.int64)
-    steps = np.full(trials, walk_length, dtype=np.int64)
+    steps = np.full(trials, limit, dtype=np.int64)
     alive = np.arange(trials)
-    for step in range(1, walk_length + 1):
+    for step in range(1, limit + 1):
         cur = pos[alive]
         lo = indptr[cur]
         deg = indptr[cur + 1] - lo
@@ -202,7 +185,7 @@ def _mean_bounded_steps(indptr, indices, is_red, start, walk_length, trials, rng
             pos[alive] = nxt
         if alive.size == 0:
             break
-    return float(steps.mean())
+    return steps, alive.size
 
 
 def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | None = None) -> Estimate:
@@ -237,8 +220,8 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         lam = lam_hat
 
     eps_eff = config.epsilon / 2.0 if config.guarantee else config.epsilon
-    stats = degree_stats(graph)
-    ell_formula = truncation_length(stats.mean_red_degree, eps_eff, lam)
+    mean_red_degree = float(graph.degrees[graph.red_ids].mean())
+    ell_formula = truncation_length(mean_red_degree, eps_eff, lam)
     if config.walk_length is not None:
         if config.walk_length < 1:
             raise InvalidParameter("walk length must be >= 1")
@@ -282,9 +265,9 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     per_node = np.empty(sampled.size)
     for j, u in enumerate(sampled):
         rng_u = np.random.default_rng(np.random.SeedSequence(entropy + (0, int(u))))
-        per_node[j] = _mean_bounded_steps(
-            graph.indptr, graph.indices, graph.is_red, int(u), ell, trials, rng_u
-        )
+        # no name holds the steps array, so it is freed before the next
+        # node's walks allocate theirs
+        per_node[j] = _walk_steps(graph, int(u), trials, ell, rng_u)[0].mean()
 
     return Estimate(
         value=float(per_node.mean()),
@@ -303,37 +286,20 @@ def empirical_hitting(graph, nodes=None, trials: int = 10000, seed: int = 0,
     """Unbounded absorbing-walk sample means and standard deviations.
 
     A plain Monte-Carlo oracle for cross-checking the exact solver on small
-    instances.  Returns (means, stds) aligned with ``nodes`` (default: all
-    red nodes).
+    instances, on the estimator's walk kernel.  ``max_steps`` is a budget,
+    not a truncation: a walk still red after it raises RuntimeError.  Returns
+    (means, stds) aligned with ``nodes`` (default: all red nodes).
     """
     if nodes is None:
         nodes = graph.red_ids
     nodes = np.asarray(list(nodes), dtype=np.int64)
-    indptr, indices = graph.indptr, graph.indices
     means = np.empty(nodes.size)
     stds = np.empty(nodes.size)
     for j, u in enumerate(nodes):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, int(u))))
-        pos = np.full(trials, int(u), dtype=np.int64)
-        steps = np.zeros(trials, dtype=np.int64)
-        alive = np.arange(trials)
-        step = 0
-        while alive.size:
-            step += 1
-            if step > max_steps:
-                raise RuntimeError("absorbing walk exceeded the step budget")
-            cur = pos[alive]
-            lo = indptr[cur]
-            deg = indptr[cur + 1] - lo
-            nxt = indices[lo + rng.integers(0, deg)]
-            hit = ~graph.is_red[nxt]
-            if hit.any():
-                steps[alive[hit]] = step
-                keep = ~hit
-                alive = alive[keep]
-                pos[alive] = nxt[keep]
-            else:
-                pos[alive] = nxt
+        steps, still_red = _walk_steps(graph, int(u), trials, max_steps, rng)
+        if still_red:
+            raise RuntimeError("absorbing walk exceeded the step budget")
         means[j] = steps.mean()
         stds[j] = steps.std(ddof=1)
     return means, stds

@@ -33,12 +33,10 @@ __all__ = [
     "BipartiteInstance",
     "ShortcutSet",
     "AugmentedView",
-    "DegreeStats",
     "load_instance",
     "augmented_view",
     "block_entries",
     "candidate_endpoints",
-    "degree_stats",
 ]
 
 
@@ -282,26 +280,6 @@ class AugmentedView:
         return f"AugmentedView(base={self.base!r}, shortcuts={self.shortcuts.endpoints})"
 
 
-@dataclass(frozen=True)
-class DegreeStats:
-    """Degree summaries used by the walk estimator and the k-center route."""
-
-    mean_red_degree: float
-    degrees: np.ndarray
-
-    def max_over(self, nodes) -> int:
-        nodes = np.asarray(list(nodes), dtype=np.int64)
-        if nodes.size == 0:
-            return 0
-        return int(self.degrees[nodes].max())
-
-
-def degree_stats(graph) -> DegreeStats:
-    """Compute degree summaries for an instance or an augmented view."""
-    mean = float(graph.degrees[graph.red_ids].mean())
-    return DegreeStats(mean_red_degree=mean, degrees=graph.degrees)
-
-
 def _check_edges(n, u, v):
     """Raise on the first edge, in input order, that is out of range, a
     self-loop, or a repeat of an earlier edge."""
@@ -366,8 +344,6 @@ def _as_lines(source):
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             yield from fh
-    elif hasattr(source, "read"):
-        yield from source
     else:
         yield from source
 

@@ -321,14 +321,15 @@ def lower_bound_check(instance, k: int, tol: float = 1e-9,
     red_ids = np.asarray(instance.red_ids)
     blue_ids = np.asarray(instance.blue_ids)
     r_count = len(red_ids)
-    total = sum(math.comb(r_count, s) for s in range(min(k, r_count) + 1))
+    size = min(k, r_count)
+    total = math.comb(r_count, size)
     if total > max_subsets:
         raise InstanceTooLarge(
             f"{total} center subsets exceed the enumeration cap {max_subsets}"
         )
 
     bound = math.inf
-    for combo in combinations(red_ids, min(k, r_count)):
+    for combo in combinations(red_ids, size):
         h = hitting_to_target(instance, np.concatenate([blue_ids, combo]))
         bound = min(bound, float(h[red_ids].max()))
 

@@ -3,8 +3,8 @@
 The mean objective is supermodular in the shortcut multiset, so stale
 greedy marginals are valid upper bounds and a lazy priority queue returns
 exactly the eager result while evaluating fewer candidates.  With sampled
-evaluation that bound argument no longer holds, so laziness is a heuristic
-there and stays off by default.
+evaluation that bound argument no longer holds, so the sampled greedy
+scores every candidate in every iteration.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def greedy_exact(instance, k: int, epsilon: float = 0.1, cap_at_k: bool = True,
 
 def greedy_plus(instance, k: int, epsilon: float = 0.1,
                 estimator_config: EstimatorConfig | None = None,
-                cap_at_k: bool = True, lazy: bool = False):
+                cap_at_k: bool = True):
     """Greedy insertion driven by the sampled mean-hitting estimator.
 
     In guarantee mode the algorithm epsilon must not exceed 1/(4k); the
@@ -131,7 +131,7 @@ def greedy_plus(instance, k: int, epsilon: float = 0.1,
         cfg = config.reseeded(iteration, endpoint)
         return estimate_mean_hitting(instance, sc, cfg).value
 
-    selected = _greedy_loop(instance, tau, measure, trace, lazy=lazy, exact=False)
+    selected = _greedy_loop(instance, tau, measure, trace, lazy=False, exact=False)
     return selected, trace
 
 
@@ -140,8 +140,7 @@ def _greedy_loop(instance, tau, measure, trace, lazy, exact):
     selected = ShortcutSet()
     evals = 0
     current = None
-    if exact or lazy:
-        # the sentinel endpoint n keys the base-value estimate's seed stream
+    if exact:
         current = measure(selected, instance.n, 0)
         evals += 1
 
@@ -194,7 +193,7 @@ def _greedy_loop(instance, tau, measure, trace, lazy, exact):
             heapq.heappush(heap, (-(current - best_value), best, i, best_value))
 
         selected = selected.with_added(best)
-        if exact or lazy:
+        if exact:
             current = best_value
         trace.entries.append(TraceEntry(
             endpoint=int(best),

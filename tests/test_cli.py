@@ -174,6 +174,11 @@ def test_parse_gen_spec_rejects_malformed():
         parse_gen_spec("path;length=5;blue=2;bogus=1")
     with pytest.raises(InvalidParameter):
         parse_gen_spec("path;length=5")
+    # only the documented family names are accepted
+    with pytest.raises(InvalidParameter):
+        parse_gen_spec("star-path-clique;n=16")
+    with pytest.raises(InvalidParameter):
+        parse_gen_spec("planted_two_community;n_red=5;n_blue=5;p_in=0.5;p_out=0.2")
 
 
 def test_run_sweep_records_assertion_failures_and_continues(tmp_path, monkeypatch):
@@ -197,3 +202,53 @@ def test_run_sweep_records_assertion_failures_and_continues(tmp_path, monkeypatc
     greedy = [r for r in rows if r["algorithm"] == "greedy"]
     assert [(r["edges"], r["g_exact"]) for r in greedy] == [("1", "2.75"), ("2", "2.0")]
     assert all(r["error"] == "" for r in greedy)
+
+
+def test_run_sweep_runs_every_algorithm(monkeypatch):
+    # every algorithm through one sweep, with the call shapes callers of
+    # hitmin.cli rely on when they patch its bindings
+    import hitmin.cli
+    from hitmin import gen_planted_two_community
+    from hitmin.cli import ALGORITHMS, RANDOMIZED, build_parser, run_sweep
+
+    calls = []
+
+    def recording(name):
+        fn = getattr(hitmin.cli, name)
+
+        def call(*args, **kwargs):
+            calls.append((name, args[2:], sorted(kwargs)))
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("greedy_exact", "kcenter_shortcuts", "pure_random",
+                 "top_hitting_baseline"):
+        monkeypatch.setattr(hitmin.cli, name, recording(name))
+
+    inst = gen_planted_two_community(4, 4, 0.6, 0.3, 3)
+    args = build_parser().parse_args([
+        "run", "--gen", "unused", "--algorithms", ",".join(ALGORITHMS),
+        "--fractions", "0.5", "--reps", "2", "--seed", "5", "--output", "unused",
+    ])
+    rows = run_sweep(inst, args)
+    assert all(r["error"] == "" for r in rows)
+    assert {r["algorithm"] for r in rows} == set(ALGORITHMS)
+    for r in rows:
+        assert (r["seed"] != "") == (r["algorithm"] in RANDOMIZED)
+    by_algo = {a: [r for r in rows if r["algorithm"] == a] for a in ALGORITHMS}
+    assert {r["eval_count"] for r in by_algo["asymm"]} == {inst.red_count + 1}
+    assert [r["eval_count"] for r in by_algo["pure_random"]] == [0, 0]
+    assert [r["eval_count"] for r in by_algo["top_hitting"]] == [1]
+    _, trace = hitmin.greedy_exact(inst, 2, epsilon=args.epsilon)
+    for a in ("greedy", "bmah_route"):
+        assert [r["edges"] for r in by_algo[a]] == list(range(1, len(trace.entries) + 1))
+        assert [r["eval_count"] for r in by_algo[a]] == [e.evaluations for e in trace.entries]
+    for rep in (0, 1):
+        edges = [r["edges"] for r in by_algo["greedy_plus"] if r["rep"] == rep]
+        assert edges == [1, 2]
+
+    assert ("greedy_exact", (), ["epsilon"]) in calls
+    assert [c for c in calls if c[0] == "pure_random"] == [
+        ("pure_random", (int(r["seed"]),), []) for r in by_algo["pure_random"]]
+    assert ("kcenter_shortcuts", (), []) in calls
+    assert ("top_hitting_baseline", (), []) in calls

@@ -16,7 +16,6 @@ from hitmin import (
     spectral_radius,
     truncation_length,
 )
-from hitmin.estimator import bounded_walk
 
 SQRT_HALF = 2.0**-0.5
 
@@ -59,13 +58,13 @@ def test_spectral_radius_no_red_red_edges():
     assert spectral_radius(complete_bipartite(2, 2)) == 0.0
 
 
-def test_bounded_walk_basics(path5):
-    rng = np.random.default_rng(0)
-    with pytest.raises(InvalidParameter):
-        bounded_walk(path5, 2, 5, rng)  # blue start
-    assert bounded_walk(path5, 1, 0, rng) == 0
-    # from node 1 either neighbor ends the walk after exactly one step
-    assert all(bounded_walk(path5, 1, 1, np.random.default_rng(s)) == 1 for s in range(20))
+def test_walk_length_uses_mean_red_degree(path5):
+    # path5's red degrees are 1, 2, 2, 1; at this bound the walk length
+    # separates 1.5 from 1.4 (46 steps) and the all-node mean 1.6 (48)
+    cfg = EstimatorConfig(epsilon=0.1, delta=0.3, seed=2, spectral_bound=0.9,
+                          samples_per_node=16)
+    est = estimate_mean_hitting(path5, config=cfg)
+    assert est.walk_length == truncation_length(1.5, 0.1, 0.9) == 47
 
 
 def test_estimate_deterministic_per_seed(path5):
@@ -170,6 +169,12 @@ def test_empirical_hitting_agrees_with_solver(path5):
     exact = hitting_to_blue(path5).times
     err = 3 * stds / np.sqrt(20000)
     assert np.all(np.abs(means - exact) <= err + 1e-9)
+
+
+def test_empirical_hitting_enforces_step_budget(path5):
+    # node 0's only neighbour is red, so no walk is absorbed in one step
+    with pytest.raises(RuntimeError):
+        empirical_hitting(path5, [0], trials=8, max_steps=1)
 
 
 def test_config_reseeding_extends_entropy():

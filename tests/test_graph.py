@@ -14,7 +14,6 @@ from hitmin import (
     ShortcutSet,
     augmented_view,
     candidate_endpoints,
-    degree_stats,
     gen_planted_two_community,
     load_instance,
 )
@@ -50,13 +49,6 @@ def test_path_degrees_and_ids(path5):
     assert path5.red_count == 4
     assert path5.blue_count == 1
     assert list(path5.neighbors(2)) == [1, 3]
-
-
-def test_degree_stats(path5):
-    stats = degree_stats(path5)
-    assert stats.mean_red_degree == pytest.approx(1.5)
-    assert stats.max_over([0, 4]) == 1
-    assert stats.max_over([1, 3]) == 2
 
 
 def test_shortcut_set_is_sorted_and_counted():

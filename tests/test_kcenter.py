@@ -200,6 +200,10 @@ def test_lower_bound_size_guard(path5):
 
     with pytest.raises(InstanceTooLarge):
         lower_bound_check(path5, 2, max_subsets=2)
+    # k = 2 enumerates the comb(4, 2) = 6 red pairs, nothing smaller
+    assert lower_bound_check(path5, 2, max_subsets=6) == (1, 2)
+    with pytest.raises(InstanceTooLarge):
+        lower_bound_check(path5, 2, max_subsets=5)
 
 
 def _per_target_table(inst, dense_limit):
