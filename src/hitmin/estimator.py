@@ -288,11 +288,15 @@ def empirical_hitting(graph, nodes=None, trials: int = 10000, seed: int = 0,
     A plain Monte-Carlo oracle for cross-checking the exact solver on small
     instances, on the estimator's walk kernel.  ``max_steps`` is a budget,
     not a truncation: a walk still red after it raises RuntimeError.  Returns
-    (means, stds) aligned with ``nodes`` (default: all red nodes).
+    (means, stds) aligned with ``nodes`` (default: all red nodes).  A start
+    node that is blue or out of range raises InvalidParameter.
     """
     if nodes is None:
         nodes = graph.red_ids
     nodes = np.asarray(list(nodes), dtype=np.int64)
+    for u in nodes:
+        if not 0 <= u < graph.n or not graph.is_red[u]:
+            raise InvalidParameter(f"start node {u} is not a red node")
     means = np.empty(nodes.size)
     stds = np.empty(nodes.size)
     for j, u in enumerate(nodes):

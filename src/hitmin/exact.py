@@ -5,11 +5,12 @@ red (transient) nodes solve (I - Q) h = 1, where Q is the walk's transition
 matrix restricted to red rows and columns.  The same machinery with a
 target node or node set absorbing gives hitting times to that target.
 
-One builder, ``_transient_times``, assembles (I - Q) for any transient set
-from the graph's CSR slices (``graph.block_entries``) with no loop over
-nodes, factors it (dense LU up to ``DENSE_NODE_LIMIT`` nodes, sparse LU
-above), and accepts the solution only when its residual, after at most one
-refinement pass with the same factor, is within ``RESIDUAL_TOL``.
+One builder, ``_factored``, assembles (I - Q) for any transient set from
+the graph's CSR slices (``graph.block_entries``) with no loop over nodes and
+factors it: dense LU up to ``DENSE_NODE_LIMIT`` unknowns, sparse LU above.
+The quasi-metric shares it.  ``_transient_times`` accepts a solution only
+when its residual, after at most one refinement pass with the same factor,
+is within ``RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ __all__ = [
     "RESIDUAL_TOL",
 ]
 
-# Dense factorization below this node count, sparse factorization with
-# iterative refinement above it.
+# Dense factorization up to this many unknowns (the size of the transient
+# set), sparse factorization above it.
 DENSE_NODE_LIMIT = 4000
 RESIDUAL_TOL = 1e-9
 
@@ -77,36 +78,36 @@ def _as_graph(instance, shortcuts):
     return augmented_view(instance, shortcuts)
 
 
-def _transient_times(graph, transient, dense_limit):
-    """Solve (I - Q) h = 1 over the given transient node set."""
-    m = transient.size
-    rows, cols = block_entries(graph, transient)
-    weights = (1.0 / graph.degrees[transient])[rows]
-    b = np.ones(m)
+def _factored(graph, nodes, dense_limit):
+    """Assemble I - Q on ``nodes`` and factor it: dense LU up to
+    ``dense_limit`` unknowns, sparse LU above.  Returns (A, solve)."""
+    m = nodes.size
+    rows, cols = block_entries(graph, nodes)
+    weights = (1.0 / graph.degrees[nodes])[rows]
 
-    if graph.n <= dense_limit:
+    if m <= dense_limit:
         A = np.eye(m)
         A[rows, cols] = -weights
         lu = scipy.linalg.lu_factor(A)
+        return A, lambda rhs: scipy.linalg.lu_solve(lu, rhs)
 
-        def solve(rhs):
-            return scipy.linalg.lu_solve(lu, rhs)
+    diag = np.arange(m)
+    A = scipy.sparse.csc_matrix(
+        (np.concatenate((np.ones(m), -weights)),
+         (np.concatenate((diag, rows)), np.concatenate((diag, cols)))),
+        shape=(m, m),
+    )
+    try:
+        factor = scipy.sparse.linalg.splu(A)
+    except RuntimeError as exc:
+        raise SolverFailure(f"sparse factorization failed: {exc}") from exc
+    return A, factor.solve
 
-    else:
-        diag = np.arange(m)
-        A = scipy.sparse.csc_matrix(
-            (np.concatenate((np.ones(m), -weights)),
-             (np.concatenate((diag, rows)), np.concatenate((diag, cols)))),
-            shape=(m, m),
-        )
-        try:
-            factor = scipy.sparse.linalg.splu(A)
-        except RuntimeError as exc:
-            raise SolverFailure(f"sparse factorization failed: {exc}") from exc
 
-        def solve(rhs):
-            return factor.solve(rhs)
-
+def _transient_times(graph, transient, dense_limit):
+    """Solve (I - Q) h = 1 over the given transient node set."""
+    A, solve = _factored(graph, transient, dense_limit)
+    b = np.ones(transient.size)
     h = solve(b)
     residual = b - A @ h
     if np.abs(residual).max() > RESIDUAL_TOL:

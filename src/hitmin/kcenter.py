@@ -3,8 +3,9 @@
 Expected hitting times between red nodes, together with a synthetic point
 standing in for the whole blue group, form a quasi-metric: the triangle
 inequality holds but symmetry does not.  The table comes from one
-factorization of the grounded graph Laplacian, with the direct solver as a
-checked fallback (``build_quasi_metric``).  Placing at most k centers under
+factorization of the exact solver's absorbing-chain matrix with one node
+absorbing, with the direct solver as a checked fallback
+(``build_quasi_metric``).  Placing at most k centers under
 that metric (the blue point is a free fixed center) and wiring each center
 to the blue side gives a heuristic shortcut set for the max objective; no
 approximation factor is proved here, and the covering radius is a
@@ -21,13 +22,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import InstanceTooLarge, InvalidParameter
-from .exact import DENSE_NODE_LIMIT, RESIDUAL_TOL, hitting_to_blue, hitting_to_target
-from .graph import ShortcutSet, block_entries
+from .exact import (DENSE_NODE_LIMIT, RESIDUAL_TOL, _factored, hitting_to_blue,
+                    hitting_to_target)
+from .graph import ShortcutSet
 from .optimize import GreedyTrace, brute_force_opt, greedy_exact, greedy_plus
 
 __all__ = [
@@ -102,7 +102,7 @@ class CenterSolution:
 
 
 def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
-    """Assemble the full distance table from one Laplacian factorization.
+    """Assemble the full distance table from one factorization.
 
     With L = D - A the graph Laplacian, d the degree vector and m the edge
     count, the hitting times h = H(., v) to a node v solve
@@ -110,12 +110,13 @@ def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
     H(u, v) = 2m (L+_vv - L+_uv) + (L+ d)_u - (L+ d)_v
     (Tetali, "Random walks and the effective resistance of networks", 1991;
     Lovasz, "Random walks on graphs: a survey", 1993).  Instead of the
-    pseudo-inverse, L is factored once grounded at its highest-degree node
-    (that row and column removed, its value fixed at 0): dense Cholesky up
-    to ``dense_limit`` nodes, sparse LU above.  The red targets'
-    right-hand sides are solved QM_BLOCK columns at a time, with one
-    refinement pass on the same factor, and each column is shifted so
-    h_v = 0.
+    pseudo-inverse, the system is divided by the degrees row by row and
+    grounded at the highest-degree node g (its row and column removed, its
+    value fixed at 0): (I - P)_g x = 1 - (2m / d_v) e_v, the absorbing-chain
+    system with g absorbing, built and factored once by ``exact._factored``.
+    The red targets' right-hand sides are solved QM_BLOCK columns at a time,
+    with one refinement pass on the same factor, and each column is shifted
+    so h_v = 0.
 
     Each column must then pass the absorbing-chain residual gate
     |(I - P) h - 1| <= RESIDUAL_TOL on every node but v, as the direct
@@ -141,28 +142,12 @@ def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
         shape=(n, n),
     )
     # the gate also checks the grounded node's dropped equation, whose
-    # residual is minus the sum of all the others divided by that node's
-    # degree; grounded at a degree-1 node (a lollipop's blue head), most
-    # columns missed the gate
+    # residual is minus the degree-weighted sum of all the others divided by
+    # that node's degree; grounded at a degree-1 node (a lollipop's blue
+    # head), most columns missed the gate
     ground = int(np.argmax(instance.degrees))
-    keep = np.delete(np.arange(n), ground)
-    rows, cols = block_entries(instance, keep)
-    diag = np.arange(n - 1)
-    grounded = scipy.sparse.csr_matrix(
-        (np.concatenate((deg[keep], -np.ones(rows.size))),
-         (np.concatenate((diag, rows)), np.concatenate((diag, cols)))),
-        shape=(n - 1, n - 1),
-    )
-    if n <= dense_limit:
-        # Fortran order lets the factorization overwrite the array in place
-        dense = grounded.toarray(order="F")
-        factor = scipy.linalg.cho_factor(dense, overwrite_a=True)
-
-        def solve(rhs):
-            return scipy.linalg.cho_solve(factor, rhs)
-
-    else:
-        solve = scipy.sparse.linalg.splu(grounded.tocsc()).solve
+    grounded, solve = _factored(instance, np.delete(np.arange(n), ground),
+                                dense_limit)
 
     fallbacks = 0
     for lo in range(0, r, QM_BLOCK):
@@ -184,15 +169,16 @@ def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
 def _target_columns(solve, grounded, ground, deg, targets):
     """Hitting times from every node to each target, one column per target.
 
-    Solves the grounded system for the right-hand sides d - 2m e_v, refines
-    once with the same factor, and shifts each column to 0 at its target.
-    A target at the grounded node keeps d alone: its row is the one dropped.
+    Solves the row-scaled grounded system for the right-hand sides
+    1 - (2m / d_v) e_v, refines once with the same factor, and shifts each
+    column to 0 at its target.  A target at the grounded node keeps the
+    all-ones right-hand side: its row is the one dropped.
     """
     cols = np.arange(targets.size)
     rows = targets - (targets > ground)
     kept = targets != ground
-    rhs = np.repeat(np.delete(deg, ground)[:, None], targets.size, axis=1)
-    rhs[rows[kept], cols[kept]] -= deg.sum()
+    rhs = np.ones((deg.size - 1, targets.size))
+    rhs[rows[kept], cols[kept]] -= deg.sum() / deg[targets[kept]]
     x = solve(rhs)
     rhs -= grounded @ x
     x += solve(rhs)

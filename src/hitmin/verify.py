@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HitminError
+from .errors import HitminError, SolverFailure
 from .estimator import (EstimatorConfig, empirical_hitting,
                         estimate_mean_hitting, expected_bounded_steps,
                         sample_count, spectral_radius, truncation_length)
@@ -41,18 +41,17 @@ def _skip(name, detail):
     return CheckResult(name, "skip", detail)
 
 
-def _check_profile(instance, level):
-    profile = hitting_to_blue(instance)
-    n3 = float(instance.n) ** 3
-    ok = bool(
-        (profile.times >= 1.0 - 1e-9).all()
-        and (profile.times <= n3 + 1e-9).all()
-        and profile.mean_time <= profile.max_time + 1e-12
-        and profile.max_time
-        <= 2.0 * len(profile.red_ids) ** 0.75 * profile.mean_time + 1e-9
-    )
+def _check_profile(instance):
+    """Whether the exact solve succeeds; ``hitting_to_blue`` and
+    ``HittingProfile`` enforce the sanity bounds themselves.  Returns the
+    result and the profile, or None when the solve failed."""
+    try:
+        profile = hitting_to_blue(instance)
+    except (SolverFailure, AssertionError) as exc:
+        return _result("hitting-profile", False,
+                       f"{type(exc).__name__}: {exc}"), None
     return _result(
-        "hitting-profile", ok,
+        "hitting-profile", True,
         f"mean={profile.mean_time:.6g} max={profile.max_time:.6g}",
     ), profile
 
@@ -253,12 +252,10 @@ def run_checks(instance, level: str = "fast"):
     """Run every applicable property check and return the results."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    results = []
-    try:
-        profile_result, profile = _check_profile(instance, level)
-    except AssertionError as exc:
-        return [CheckResult("hitting-profile", "fail", str(exc))]
-    results.append(profile_result)
+    profile_result, profile = _check_profile(instance)
+    results = [profile_result]
+    if profile is None:
+        return results
 
     checks = [
         lambda: _check_monte_carlo(instance, profile, level),

@@ -175,6 +175,10 @@ def test_empirical_hitting_enforces_step_budget(path5):
     # node 0's only neighbour is red, so no walk is absorbed in one step
     with pytest.raises(RuntimeError):
         empirical_hitting(path5, [0], trials=8, max_steps=1)
+    # a blue start would report a return time; an out-of-range one has no row
+    for start in (2, 7, -1):
+        with pytest.raises(InvalidParameter):
+            empirical_hitting(path5, [start], trials=8)
 
 
 def test_config_reseeding_extends_entropy():

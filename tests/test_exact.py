@@ -11,6 +11,7 @@ from hitmin import (
     InvalidParameter,
     ShortcutSet,
     augmented_view,
+    build_quasi_metric,
     candidate_endpoints,
     evaluate,
     gen_path,
@@ -157,3 +158,28 @@ def test_transient_matrix_matches_row_loop(monkeypatch):
             seen.clear()
             _transient_times(graph, transient, dense_limit)
             np.testing.assert_array_equal(seen[0], _loop_matrix(graph, transient))
+
+
+def test_solver_path_is_picked_by_unknowns(monkeypatch):
+    # dense LU up to dense_limit unknowns, whatever the node count
+    inst = gen_planted_two_community(6, 8, 0.5, 0.2, 3)
+    n, r = inst.n, inst.red_count
+    seen = []
+    dense, sparse = scipy.linalg.lu_factor, scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda a: (seen.append(("dense", a.shape[0])), dense(a))[1])
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda a: (seen.append(("sparse", a.shape[0])), sparse(a))[1])
+    cases = [
+        (lambda limit: hitting_to_blue(inst, dense_limit=limit),
+         {r: [("dense", r)], r - 1: [("sparse", r)]}),
+        # the blue-point column, then the table's one grounded factor
+        (lambda limit: build_quasi_metric(inst, dense_limit=limit),
+         {n - 1: [("dense", r), ("dense", n - 1)],
+          n - 2: [("dense", r), ("sparse", n - 1)]}),
+    ]
+    for call, expected in cases:
+        for limit, factors in expected.items():
+            seen.clear()
+            call(limit)
+            assert seen == factors
