@@ -10,10 +10,12 @@ from hitmin import (
     HittingProfile,
     InvalidParameter,
     ShortcutSet,
+    SolverFailure,
     augmented_view,
     build_quasi_metric,
     candidate_endpoints,
     evaluate,
+    gen_lollipop,
     gen_path,
     gen_planted_two_community,
     hitting_to_blue,
@@ -160,8 +162,29 @@ def test_transient_matrix_matches_row_loop(monkeypatch):
             np.testing.assert_array_equal(seen[0], _loop_matrix(graph, transient))
 
 
+def _tree_plus(m, extra, parts=1, seed=0):
+    # blue node 0 and red nodes 1..m in `parts` random trees, each hung from
+    # node 0, plus `extra` chords inside the first tree: the red block's
+    # cycle rank is `extra`, with `parts` components
+    rng = np.random.default_rng(seed)
+    size = m // parts
+    edges = []
+    for lo in range(1, m + 1, size):
+        edges.append((0, lo))
+        edges += [(v, int(rng.integers(lo, v))) for v in range(lo + 1, lo + size)]
+    present = {frozenset(e) for e in edges}
+    while len(present) < m + extra:
+        chord = frozenset(int(v) for v in rng.choice(np.arange(1, size + 1), 2,
+                                                      replace=False))
+        if chord not in present:
+            present.add(chord)
+            edges.append(tuple(chord))
+    return BipartiteInstance(m + 1, edges, [v != 0 for v in range(m + 1)])
+
+
 def test_solver_path_is_picked_by_unknowns(monkeypatch):
-    # dense LU up to dense_limit unknowns, whatever the node count
+    # dense LU up to dense_limit unknowns, whatever the node count, and only
+    # for a block whose cycle rank exceeds an eighth of its unknowns
     inst = gen_planted_two_community(6, 8, 0.5, 0.2, 3)
     n, r = inst.n, inst.red_count
     seen = []
@@ -170,16 +193,43 @@ def test_solver_path_is_picked_by_unknowns(monkeypatch):
                         lambda a: (seen.append(("dense", a.shape[0])), dense(a))[1])
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda a: (seen.append(("sparse", a.shape[0])), sparse(a))[1])
+
+    def blue_times(instance):
+        return lambda limit: hitting_to_blue(instance, dense_limit=limit)
+
     cases = [
-        (lambda limit: hitting_to_blue(inst, dense_limit=limit),
-         {r: [("dense", r)], r - 1: [("sparse", r)]}),
+        (blue_times(inst), {r: [("dense", r)], r - 1: [("sparse", r)]}),
         # the blue-point column, then the table's one grounded factor
         (lambda limit: build_quasi_metric(inst, dense_limit=limit),
          {n - 1: [("dense", r), ("dense", n - 1)],
           n - 2: [("dense", r), ("sparse", n - 1)]}),
+        # a path with a 10-clique: cycle rank 36 of 1009 unknowns
+        (blue_times(gen_lollipop(1000, 10)), {DENSE_NODE_LIMIT: [("sparse", 1009)]}),
+        # cycle rank 5 = 40/8 is a near-forest, on either side of dense_limit
+        (blue_times(_tree_plus(40, 5)), {40: [("sparse", 40)], 39: [("sparse", 40)]}),
+        # cycle rank 6 is cyclic enough, dense within dense_limit
+        (blue_times(_tree_plus(40, 6)), {40: [("dense", 40)], 39: [("sparse", 40)]}),
+        # rank 6 only once the second component is counted
+        (blue_times(_tree_plus(40, 6, parts=2)), {40: [("dense", 40)]}),
+        (blue_times(_tree_plus(40, 5, parts=2)), {40: [("sparse", 40)]}),
     ]
     for call, expected in cases:
         for limit, factors in expected.items():
             seen.clear()
             call(limit)
             assert seen == factors
+
+    # the re-routed lollipop agrees with a dense solve of the row-loop matrix
+    graph = augmented_view(gen_lollipop(1000, 10))
+    exact = np.linalg.solve(_loop_matrix(graph, graph.red_ids), np.ones(1009))
+    np.testing.assert_allclose(hitting_to_blue(graph).times, exact, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dense_limit, path", [(DENSE_NODE_LIMIT, "dense LU"),
+                                               (0, "sparse LU")])
+def test_solver_failure_names_the_path(monkeypatch, dense_limit, path):
+    monkeypatch.setattr("hitmin.exact.RESIDUAL_TOL", -1.0)
+    inst = gen_planted_two_community(30, 30, 0.2, 0.05, 7)
+    with pytest.raises(SolverFailure,
+                       match=rf"after refinement \({path}, 30 unknowns\)$"):
+        hitting_to_blue(inst, dense_limit=dense_limit)
