@@ -8,12 +8,18 @@ in [0, walk_length].  In guarantee mode both knobs are derived from
 epsilon/2 so that truncation error and sampling error each stay within half
 of the allowed relative error.  Experiment mode relaxes everything and
 additionally subsamples the start nodes.
+
+One batched kernel runs every walk.  It keeps only the positions of the
+walks still red and sums the step counts of the others into exact
+integers, so its memory is about three int64 arrays of the trial count and
+its draws are one ``rng.integers(0, deg)`` over the live walks per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
@@ -147,7 +153,12 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Result of one sampled evaluation, with the resolved knobs attached."""
+    """Result of one sampled evaluation, with the resolved knobs attached.
+
+    ``walk_steps`` is the exact number of steps the walks took, the sum of
+    min(T, walk_length) over all of them.  An estimate is ``degenerate``
+    when its walks were cut at one step, so every walk counts exactly 1.
+    """
 
     value: float
     walk_length: int
@@ -157,35 +168,43 @@ class Estimate:
     sampled_nodes: np.ndarray
     per_node_means: np.ndarray
     config: EstimatorConfig
+    walk_steps: int
+
+    @property
+    def degenerate(self) -> bool:
+        return self.walk_length == 1
 
 
 def _walk_steps(graph, start, trials, limit, rng):
     """Batch of ``trials`` absorbing walks from ``start``, cut at ``limit`` steps.
 
-    Returns (steps, still_red): each walk's step count at its first blue
-    node, ``limit`` for a walk not absorbed by then, and the number of such
-    walks.  Each step draws one ``rng.integers(0, deg)`` over the live walks.
+    Returns (total, total_sq, still_red): the sum and the sum of squares of
+    the walks' step counts, each walk counting the step at its first blue
+    node or ``limit`` if it is not absorbed by then, and the number of walks
+    still red at ``limit``.  The state is only the positions of the live
+    walks, in start order: each step draws one ``rng.integers(0, deg)`` over
+    them, moves them, and keeps those still red.  The sums are Python ints,
+    so they are exact.
     """
-    indptr, indices, is_red = graph.indptr, graph.indices, graph.is_red
-    pos = np.full(trials, start, dtype=np.int64)
-    steps = np.full(trials, limit, dtype=np.int64)
-    alive = np.arange(trials)
+    indptr, indices, is_red, degrees = graph.indptr, graph.indices, graph.is_red, graph.degrees
+    cur = np.full(trials, start, dtype=np.int64)
+    total = total_sq = 0
     for step in range(1, limit + 1):
-        cur = pos[alive]
-        lo = indptr[cur]
-        deg = indptr[cur + 1] - lo
-        nxt = indices[lo + rng.integers(0, deg)]
-        hit = ~is_red[nxt]
-        if hit.any():
-            steps[alive[hit]] = step
-            keep = ~hit
-            alive = alive[keep]
-            pos[alive] = nxt[keep]
-        else:
-            pos[alive] = nxt
-        if alive.size == 0:
+        slot = rng.integers(0, degrees[cur])
+        slot += indptr[cur]
+        live = cur.size
+        # rebinding cur frees the old positions; no name outlives its step
+        cur = indices[slot]
+        del slot
+        cur = cur[is_red[cur]]
+        hits = live - cur.size
+        total += step * hits
+        total_sq += step * step * hits
+        if cur.size == 0:
             break
-    return steps, alive.size
+    total += limit * cur.size
+    total_sq += limit * limit * cur.size
+    return total, total_sq, cur.size
 
 
 def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | None = None) -> Estimate:
@@ -263,11 +282,13 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         sampled = np.sort(sub_rng.choice(reds, size=size, replace=False))
 
     per_node = np.empty(sampled.size)
+    walk_steps = 0
     for j, u in enumerate(sampled):
         rng_u = np.random.default_rng(np.random.SeedSequence(entropy + (0, int(u))))
-        # no name holds the steps array, so it is freed before the next
-        # node's walks allocate theirs
-        per_node[j] = _walk_steps(graph, int(u), trials, ell, rng_u)[0].mean()
+        total, _, _ = _walk_steps(graph, int(u), trials, ell, rng_u)
+        # an integer sum below 2**53 divided once: the bits of steps.mean()
+        per_node[j] = total / trials
+        walk_steps += total
 
     return Estimate(
         value=float(per_node.mean()),
@@ -278,6 +299,7 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         sampled_nodes=sampled,
         per_node_means=per_node,
         config=config,
+        walk_steps=walk_steps,
     )
 
 
@@ -288,9 +310,14 @@ def empirical_hitting(graph, nodes=None, trials: int = 10000, seed: int = 0,
     A plain Monte-Carlo oracle for cross-checking the exact solver on small
     instances, on the estimator's walk kernel.  ``max_steps`` is a budget,
     not a truncation: a walk still red after it raises RuntimeError.  Returns
-    (means, stds) aligned with ``nodes`` (default: all red nodes).  A start
-    node that is blue or out of range raises InvalidParameter.
+    (means, stds) aligned with ``nodes`` (default: all red nodes); the stds
+    use ``ddof=1``, from the kernel's exact integer sums.  Fewer than two
+    trials, or a start node that is blue or out of range, raises
+    InvalidParameter.
     """
+    trials = int(trials)  # a Python int keeps the std's integer formula exact
+    if trials < 2:
+        raise InvalidParameter(f"trials must be >= 2, got {trials}")
     if nodes is None:
         nodes = graph.red_ids
     nodes = np.asarray(list(nodes), dtype=np.int64)
@@ -301,11 +328,12 @@ def empirical_hitting(graph, nodes=None, trials: int = 10000, seed: int = 0,
     stds = np.empty(nodes.size)
     for j, u in enumerate(nodes):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, int(u))))
-        steps, still_red = _walk_steps(graph, int(u), trials, max_steps, rng)
+        total, total_sq, still_red = _walk_steps(graph, int(u), trials, max_steps, rng)
         if still_red:
             raise RuntimeError("absorbing walk exceeded the step budget")
-        means[j] = steps.mean()
-        stds[j] = steps.std(ddof=1)
+        means[j] = total / trials
+        stds[j] = math.sqrt(Fraction(trials * total_sq - total * total,
+                                     trials * (trials - 1)))
     return means, stds
 
 

@@ -1,5 +1,7 @@
 """Sampled hitting-time estimation: formulas, walks, and seed discipline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,16 @@ from hitmin import (
     empirical_hitting,
     estimate_mean_hitting,
     expected_bounded_steps,
+    gen_lollipop,
     gen_path,
+    gen_planted_two_community,
+    greedy_plus,
     hitting_to_blue,
     sample_count,
     spectral_radius,
     truncation_length,
 )
+from hitmin.estimator import _walk_steps
 
 SQRT_HALF = 2.0**-0.5
 
@@ -137,6 +143,18 @@ def test_unit_walk_length_estimates_exactly_one(path5):
     assert est.value == 1.0
 
 
+def test_estimate_reports_its_walks(path5):
+    cfg = EstimatorConfig(epsilon=0.2, delta=0.2, seed=11, guarantee=True)
+    est = estimate_mean_hitting(path5, config=cfg)
+    assert not est.degenerate
+    assert est.walk_steps == round((est.per_node_means * est.samples_per_node).sum())
+    # the length-1 estimate of test_unit_walk_length_estimates_exactly_one
+    cfg = EstimatorConfig(epsilon=0.3, delta=0.3, seed=4, walk_length=1, spectral_bound=0.1)
+    est = estimate_mean_hitting(path5, config=cfg)
+    assert est.degenerate
+    assert est.walk_steps == est.samples_per_node * est.sampled_nodes.size
+
+
 def test_complete_bipartite_estimate_is_exact():
     inst = complete_bipartite(3, 3)
     cfg = EstimatorConfig(epsilon=0.3, delta=0.3, seed=8, guarantee=True)
@@ -179,6 +197,111 @@ def test_empirical_hitting_enforces_step_budget(path5):
     for start in (2, 7, -1):
         with pytest.raises(InvalidParameter):
             empirical_hitting(path5, [start], trials=8)
+
+
+def test_empirical_hitting_needs_two_trials(path5):
+    # one trial has no sample std and none has no mean
+    for trials in (1, 0):
+        with pytest.raises(InvalidParameter):
+            empirical_hitting(path5, [0], trials=trials)
+    means, stds = empirical_hitting(path5, [1], trials=2)
+    assert means[0] >= 1 and np.isfinite(stds[0])
+
+
+def _reference_walk_steps(graph, start, trials, limit, rng):
+    # the kernel that kept every walk's position and step count
+    indptr, indices, is_red = graph.indptr, graph.indices, graph.is_red
+    pos = np.full(trials, start, dtype=np.int64)
+    steps = np.full(trials, limit, dtype=np.int64)
+    alive = np.arange(trials)
+    for step in range(1, limit + 1):
+        cur = pos[alive]
+        lo = indptr[cur]
+        deg = indptr[cur + 1] - lo
+        nxt = indices[lo + rng.integers(0, deg)]
+        hit = ~is_red[nxt]
+        if hit.any():
+            steps[alive[hit]] = step
+            keep = ~hit
+            alive = alive[keep]
+            pos[alive] = nxt[keep]
+        else:
+            pos[alive] = nxt
+        if alive.size == 0:
+            break
+    return steps, alive.size
+
+
+@pytest.mark.parametrize("graph, start, limit, survivors", [
+    (gen_path(5, [2]), 0, 200, False),
+    (gen_path(5, [2]), 1, 200, False),
+    # a long path through a clique: many steps per walk
+    (gen_lollipop(5, 3), 7, 5000, False),
+    # graph 4's node 3 has one neighbour, blue; node 1 has one, red
+    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 3, 50, False),
+    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 1, 500, False),
+    # limits that leave walks unabsorbed
+    (gen_path(5, [2]), 0, 3, True),
+    (gen_lollipop(5, 3), 7, 6, True),
+])
+def test_walk_kernel_matches_reference(graph, start, limit, survivors):
+    trials = 3000
+    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((6, start)))
+                    for _ in range(2))
+    total, total_sq, still_red = _walk_steps(graph, start, trials, limit, rng)
+    steps, ref_still_red = _reference_walk_steps(graph, start, trials, limit, ref_rng)
+    assert total == int(steps.sum())
+    assert total_sq == int((steps * steps).sum())
+    assert still_red == ref_still_red
+    assert (still_red > 0) == survivors
+    # the same draws were consumed; a degree-1 node draws nothing in either
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_walk_kernel_peak_memory():
+    graph = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
+    trials = 200_000
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        _walk_steps(graph, 2, trials, 30, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # numpy registers its data buffers with tracemalloc, so the peak is
+    # deterministic: about three int64 arrays of length trials here, nine
+    # for a kernel that keeps every walk's position and step count
+    assert peak <= 4 * 8 * trials
+
+
+def test_estimator_stream_is_pinned(path5):
+    # recorded from the kernel that kept every walk; the current stream stays
+    # the default, so these literals hold bit for bit
+    est = estimate_mean_hitting(
+        path5, config=EstimatorConfig(epsilon=0.2, delta=0.2, seed=11, guarantee=True))
+    assert est.per_node_means.tolist() == [
+        3.8984493831333444, 2.933750211255704, 2.9267787730268715, 3.8968649653540646]
+    planted = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
+    est = estimate_mean_hitting(
+        planted, config=EstimatorConfig(epsilon=0.3, delta=0.2, seed=5, guarantee=True))
+    assert (est.walk_length, est.samples_per_node) == (29, 163791)
+    assert est.per_node_means.tolist() == [
+        4.919531598195261, 8.884828836749271, 7.915489862080334, 1.0]
+
+
+def test_greedy_plus_stream_is_pinned():
+    graph = gen_planted_two_community(4, 4, 0.6, 0.3, 0)
+    cfg = EstimatorConfig(epsilon=0.25, delta=0.1, seed=(9, 0, 1), guarantee=True)
+    selection, trace = greedy_plus(graph, 1, epsilon=0.25, estimator_config=cfg,
+                                   cap_at_k=False)
+    assert selection.endpoints == (0, 0, 0, 1, 1, 1, 2, 2, 2, 3)
+    assert trace.endpoints == [2, 0, 1, 0, 2, 3, 1, 0, 2, 1]
+    assert trace.values == [
+        2.112429451000513, 1.9359376924024136, 1.8466629725403276,
+        1.7559721709149119, 1.6648066192033866, 1.6005387723686744,
+        1.5676351741389263, 1.537762170482971, 1.4966807773715605,
+        1.4919665191456608]
+    assert trace.evaluations == 33
 
 
 def test_config_reseeding_extends_entropy():
