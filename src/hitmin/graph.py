@@ -48,6 +48,8 @@ class BipartiteInstance:
     instances leave it unset and fall back to the decimal index.
     Instances are immutable after construction; the adjacency lives in the
     read-only CSR arrays ``indptr`` and ``indices``, each row ascending.
+    ``edges`` is an (m, 2) integer array or an iterable of (u, v) pairs; an
+    array is used as it is, without a round trip through Python tuples.
     """
 
     def __init__(self, n, edges, is_red, node_names=None):
@@ -62,20 +64,26 @@ class BipartiteInstance:
             if len(node_names) != n or len(set(node_names)) != n:
                 raise InvalidParameter("node names must be unique, one per node")
 
-        pairs = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise MalformedInput("edges must be (u, v) pairs")
         u, v = pairs[:, 0], pairs[:, 1]
-        _check_edges(n, u, v)
 
-        # each edge appears once in the row of either end, rows ascending
-        src = np.concatenate((u, v))
-        dst = np.concatenate((v, u))
-        order = np.lexsort((dst, src))
-        src, indices = src[order], dst[order]
-        degrees = np.bincount(src, minlength=n)
+        # each edge appears once in the row of either end, rows ascending:
+        # the key src * n + dst orders the entries, and a repeated edge shows
+        # as two equal neighbouring keys
+        keys = np.concatenate((u * n + v, v * n + u))
+        keys.sort()
+        if (((u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)).any()
+                or (keys[1:] == keys[:-1]).any()):
+            _check_edges(n, u, v)
+        keys %= n  # now each entry's dst, in CSR order
+        indices = keys
+        degrees = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
 
@@ -85,7 +93,8 @@ class BipartiteInstance:
         self.indices = indices
         self.is_red = is_red
         self.degrees = degrees
-        self.blue_degree = np.bincount(src[~is_red[indices]], minlength=n)
+        self.blue_degree = (np.bincount(u[~is_red[v]], minlength=n)
+                            + np.bincount(v[~is_red[u]], minlength=n))
         for arr in (self.indptr, self.indices, self.is_red, self.degrees,
                     self.blue_degree):
             arr.setflags(write=False)
@@ -101,23 +110,25 @@ class BipartiteInstance:
         self._check_connected()
 
     def _check_connected(self):
-        # a plain search: on small graphs a scipy traversal costs more to set
-        # up than the whole search
+        # a plain search that stops once every node is reached, so a dense
+        # connected graph reads only a few neighbours per node; on small
+        # graphs a scipy traversal costs more to set up than the whole search
+        n = self.n
         indptr, indices = memoryview(self.indptr), memoryview(self.indices)
-        seen = [False] * self.n
-        seen[0] = True
+        seen = bytearray(n)
+        seen[0] = 1
         stack = [0]
         reached = 1
-        while stack:
+        while stack and reached < n:
             v = stack.pop()
             for w in indices[indptr[v]:indptr[v + 1]]:
                 if not seen[w]:
-                    seen[w] = True
+                    seen[w] = 1
                     reached += 1
                     stack.append(w)
-        if reached != self.n:
+        if reached != n:
             raise DisconnectedGraph(
-                f"graph has {self.n - reached} node(s) unreachable from node 0"
+                f"graph has {n - reached} node(s) unreachable from node 0"
             )
 
     @property

@@ -1,9 +1,13 @@
 """Synthetic instance families."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import hitmin.generators
 from hitmin import (
+    BipartiteInstance,
     GenerationFailed,
     InvalidBipartition,
     InvalidParameter,
@@ -114,3 +118,78 @@ def test_planted_colors_follow_groups():
     inst = gen_planted_two_community(6, 9, 0.5, 0.2, 3)
     assert inst.red_count == 6
     assert inst.blue_count == 9
+
+
+def _arrays(graph):
+    return (graph.indptr.tolist(), graph.indices.tolist(),
+            graph.blue_degree.tolist(), graph.edge_count)
+
+
+def _digest(graph):
+    sha = hashlib.sha1()
+    for arr in (graph.indptr, graph.indices, graph.blue_degree):
+        sha.update(np.asarray(arr, dtype="<i8").tobytes())
+    sha.update(str(graph.edge_count).encode())
+    return sha.hexdigest()
+
+
+# Recorded from the generators that drew all n(n - 1)/2 pairs in one call and
+# built the family graphs with nested loops.
+_PLANTED_500_500 = ("1b14aef8b4c76ec079dfadae19fcb960c208c836", 27253)
+_PLANTED_6_6_SEED4 = (
+    [0, 4, 5, 9, 12, 15, 19, 24, 27, 30, 33, 36, 38],
+    [2, 3, 4, 6, 5, 0, 3, 4, 5, 0, 2, 5, 0, 2, 5, 1, 2, 3, 4, 0, 8, 9, 10,
+     11, 8, 9, 10, 6, 7, 11, 6, 7, 10, 6, 7, 9, 6, 8],
+    [1, 0, 0, 0, 0, 0, 4, 3, 3, 3, 3, 2], 19)
+_PLANTED_4_4_SEED0 = (
+    [0, 3, 5, 8, 14, 16, 18, 21, 22],
+    [2, 3, 4, 3, 6, 0, 3, 5, 0, 1, 2, 4, 6, 7, 0, 3, 2, 6, 1, 3, 5, 3],
+    [1, 1, 1, 3, 0, 1, 1, 0], 11)
+
+
+def test_planted_graphs_are_pinned(monkeypatch):
+    big = gen_planted_two_community(500, 500, 0.1, 0.01, 5)
+    assert 1000 * 999 // 2 > hitmin.generators._BLOCK_PAIRS  # several blocks
+    assert (_digest(big), big.edge_count) == _PLANTED_500_500
+    assert _arrays(gen_planted_two_community(4, 4, 0.6, 0.3, 0)) == _PLANTED_4_4_SEED0
+
+    # seed 4's first attempt is disconnected, so the second one is kept
+    built = []
+
+    def counting(*args):
+        built.append(args[0])
+        return BipartiteInstance(*args)
+
+    monkeypatch.setattr(hitmin.generators, "BipartiteInstance", counting)
+    assert _arrays(gen_planted_two_community(6, 6, 0.6, 0.05, 4)) == _PLANTED_6_6_SEED4
+    assert built == [12, 12]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 40])
+def test_planted_graphs_do_not_depend_on_block_size(monkeypatch, block):
+    # every block size, down to one row a block, continues one random stream
+    one_block = _arrays(gen_planted_two_community(30, 20, 0.3, 0.05, 9))
+    monkeypatch.setattr(hitmin.generators, "_BLOCK_PAIRS", block)
+    assert _arrays(gen_planted_two_community(4, 4, 0.6, 0.3, 0)) == _PLANTED_4_4_SEED0
+    assert _arrays(gen_planted_two_community(6, 6, 0.6, 0.05, 4)) == _PLANTED_6_6_SEED4
+    assert _arrays(gen_planted_two_community(30, 20, 0.3, 0.05, 9)) == one_block
+
+
+def test_family_graphs_are_pinned():
+    assert _arrays(gen_path(6, [0, 3])) == (
+        [0, 1, 3, 5, 7, 9, 10], [1, 0, 2, 1, 3, 2, 4, 3, 5, 4],
+        [0, 1, 1, 0, 1, 0], 5)
+    assert _arrays(gen_star_path_clique(16)) == (
+        [0, 16] + list(range(17, 32)) + [33, 35, 37, 38],
+        list(range(1, 17)) + [0] * 16 + [17, 16, 18, 17, 19, 18],
+        [0] + [1] * 16 + [0, 0, 0], 19)
+    assert _arrays(gen_lollipop(3, 4)) == (
+        [0, 1, 3, 5, 9, 12, 15, 18],
+        [1, 0, 2, 1, 3, 2, 4, 5, 6, 3, 5, 6, 3, 4, 6, 3, 4, 5],
+        [0, 1, 0, 0, 0, 0, 0], 9)
+    spc = gen_star_path_clique(4096)
+    assert (_digest(spc), spc.edge_count) == (
+        "9e92280b5a830363ce3873c96ad2b72ce8f340ec", 4132)
+    lollipop = gen_lollipop(400, 30)
+    assert (_digest(lollipop), lollipop.edge_count) == (
+        "b561aeaf71ba1e57a9663892ae9101c6f454230a", 835)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from hitmin import (
     AugmentedView,
@@ -166,3 +168,70 @@ def test_block_entries_match_a_loop_over_rows():
                       for w in graph.neighbors(v) if int(w) in pos]
             rows, cols = block_entries(graph, nodes)
             assert list(zip(rows.tolist(), cols.tolist())) == expect
+
+
+def _csr(graph):
+    return (graph.indptr.tolist(), graph.indices.tolist(), graph.degrees.tolist(),
+            graph.blue_degree.tolist(), graph.edge_count)
+
+
+def test_array_and_list_edges_build_the_same_csr():
+    inst = gen_planted_two_community(30, 20, 0.3, 0.05, 9)
+    edges = list(inst.iter_edges())
+    rng = np.random.default_rng(0)
+    # any edge order and orientation gives the same rows
+    shuffled = [edges[i][::-1] if i % 3 else edges[i]
+                for i in rng.permutation(len(edges))]
+    for given in (edges, shuffled):
+        from_list = BipartiteInstance(inst.n, given, inst.is_red)
+        from_array = BipartiteInstance(inst.n, np.array(given), inst.is_red)
+        assert _csr(from_list) == _csr(from_array) == _csr(inst)
+
+
+@pytest.mark.parametrize("edges, error, message", [
+    ([(0, 1, 2), (1, 2, 3)], MalformedInput, "edges must be (u, v) pairs"),
+    ([0, 1, 1, 2], MalformedInput, "edges must be (u, v) pairs"),
+    ([], DisconnectedGraph, "graph has 3 node(s) unreachable from node 0"),
+    ([(0, 1), (1, 2), (2, 4), (3, 3), (0, 1)], MalformedInput,
+     "edge (2, 4) out of range for n=4"),
+    ([(0, 1), (-1, 2)], MalformedInput, "edge (-1, 2) out of range for n=4"),
+    ([(0, 1), (1, 1), (2, 5), (1, 0)], MalformedInput, "self-loop at node 1"),
+    ([(0, 1), (1, 2), (2, 1), (3, 3)], MalformedInput, "duplicate edge (1, 2)"),
+    ([(2, 3), (0, 1), (1, 2), (3, 2)], MalformedInput, "duplicate edge (2, 3)"),
+    ([(0, 1), (1, 2), (0, 1), (2, 3)], MalformedInput, "duplicate edge (0, 1)"),
+])
+def test_array_and_list_edges_raise_the_same_error(edges, error, message):
+    # the first bad edge in input order is the one reported
+    as_array = (np.array(edges, dtype=np.int64) if edges
+                else np.zeros((0, 2), dtype=np.int64))
+    for given in (edges, as_array):
+        with pytest.raises(error) as caught:
+            BipartiteInstance(4, given, [True, True, False, False])
+        assert str(caught.value) == message
+
+
+def _unreachable_from_zero(n, edges):
+    adj = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    _count, labels = connected_components(adj, directed=False)
+    return int(np.count_nonzero(labels != labels[0]))
+
+
+@pytest.mark.parametrize("n_red, n_blue, p_in", [(4, 4, 0.9), (2500, 1500, 0.01)])
+def test_disconnected_graph_reports_the_unreachable_count(n_red, n_blue, p_in):
+    # two planted communities with their cross edges dropped
+    inst = gen_planted_two_community(n_red, n_blue, p_in, p_in / 10, 11)
+    edges = np.array(list(inst.iter_edges()))
+    same = inst.is_red[edges[:, 0]] == inst.is_red[edges[:, 1]]
+    edges = edges[same]
+    unreachable = _unreachable_from_zero(inst.n, edges)
+    assert unreachable >= n_blue
+    with pytest.raises(DisconnectedGraph) as caught:
+        BipartiteInstance(inst.n, edges, inst.is_red)
+    assert str(caught.value) == f"graph has {unreachable} node(s) unreachable from node 0"
+    # relabelled v -> n - 1 - v, so node 0 sits in the blue community
+    flipped = inst.n - 1 - edges
+    with pytest.raises(DisconnectedGraph) as caught:
+        BipartiteInstance(inst.n, flipped, inst.is_red[::-1])
+    assert str(caught.value) == (
+        f"graph has {_unreachable_from_zero(inst.n, flipped)} node(s) "
+        "unreachable from node 0")
