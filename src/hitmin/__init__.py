@@ -14,7 +14,8 @@ from .errors import (CapacityExceeded, DisconnectedGraph, GenerationFailed,
                      HitminError, InstanceTooLarge, InvalidBipartition,
                      InvalidParameter, MalformedInput, SolverFailure)
 from .graph import (AugmentedView, BipartiteInstance, ShortcutSet,
-                    augmented_view, candidate_endpoints, load_instance)
+                    augmented_view, candidate_endpoints, load_instance,
+                    shortcut_counts)
 from .exact import HittingProfile, evaluate, hitting_to_blue, hitting_to_target
 from .estimator import (Estimate, EstimatorConfig, empirical_hitting,
                         estimate_mean_hitting, expected_bounded_steps,
@@ -35,7 +36,7 @@ __all__ = [
     "CapacityExceeded", "InvalidParameter", "SolverFailure", "InstanceTooLarge",
     "GenerationFailed",
     "BipartiteInstance", "ShortcutSet", "AugmentedView", "augmented_view",
-    "candidate_endpoints", "load_instance",
+    "candidate_endpoints", "load_instance", "shortcut_counts",
     "HittingProfile", "evaluate", "hitting_to_blue", "hitting_to_target",
     "Estimate", "EstimatorConfig", "empirical_hitting",
     "estimate_mean_hitting", "expected_bounded_steps", "sample_count",

@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score one shortcut list exactly")
     _add_instance_flags(p_eval)
     p_eval.add_argument("--shortcuts", default="",
-                        help="comma list of red endpoints, may repeat")
+                        help="comma list of red endpoint names, may repeat")
     p_eval.add_argument("--seed", type=int, default=None)
     return parser
 
@@ -348,8 +348,8 @@ def main(argv=None) -> int:
             return 0
         if args.verb == "eval":
             instance = _load_from_args(args)
-            endpoints = [int(tok) for tok in args.shortcuts.split(",")
-                         if tok.strip()]
+            endpoints = [instance.index_of(tok.strip())
+                         for tok in args.shortcuts.split(",") if tok.strip()]
             shortcuts = ShortcutSet(endpoints)
             profile = hitting_to_blue(instance, shortcuts)
             out = {

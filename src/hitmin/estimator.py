@@ -25,8 +25,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InvalidParameter
-from .graph import ShortcutSet, block_entries
-from .exact import _as_graph
+from .graph import augmented_view, block_entries, shortcut_counts
 
 __all__ = [
     "EstimatorConfig",
@@ -212,7 +211,8 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
 
     Deterministic for a fixed (instance, shortcuts, config): every start
     node draws from its own substream keyed by (seed, node index), so the
-    result does not depend on evaluation order.
+    result does not depend on evaluation order.  The walks need the
+    shortcut partners, so they run on ``augmented_view(instance, shortcuts)``.
     """
     config = config or EstimatorConfig()
     if not 0 < config.epsilon < 1:
@@ -220,7 +220,7 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     if not 0 < config.delta < 1:
         raise InvalidParameter(f"delta must lie in (0, 1), got {config.delta}")
 
-    graph = _as_graph(instance, ShortcutSet.coerce(shortcuts))
+    graph = augmented_view(instance, shortcuts)
     entropy = config.entropy()
 
     lam_hat = None
@@ -345,15 +345,16 @@ def expected_bounded_steps(instance, shortcuts=None, length: int = 1) -> np.ndar
     survival probabilities.  Those come from repeated sparse matvecs with
     the red-to-red transition block; no sampling is involved.  This is the
     quantity the walk estimator is unbiased for, and it never exceeds the
-    exact hitting time.
+    exact hitting time.  Shortcuts only add to the red degrees, so no
+    overlay is built.
     """
     if length < 0:
         raise InvalidParameter(f"length must be >= 0, got {length}")
-    graph = _as_graph(instance, ShortcutSet.coerce(shortcuts))
-    red = graph.red_ids
-    rows, cols = block_entries(graph, red)
+    red = instance.red_ids
+    degrees = instance.degrees + shortcut_counts(instance, shortcuts)
+    rows, cols = block_entries(instance, red)
     q = scipy.sparse.csr_matrix(
-        ((1.0 / graph.degrees[red])[rows], (rows, cols)), shape=(red.size, red.size)
+        ((1.0 / degrees[red])[rows], (rows, cols)), shape=(red.size, red.size)
     )
     survive = np.ones(red.size)
     total = np.zeros(red.size)

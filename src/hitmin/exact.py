@@ -5,6 +5,12 @@ red (transient) nodes solve (I - Q) h = 1, where Q is the walk's transition
 matrix restricted to red rows and columns.  The same machinery with a
 target node or node set absorbing gives hitting times to that target.
 
+A shortcut from red r to the blue group adds a neighbour outside the red
+block, so it changes only r's degree: (I - Q) on the red nodes is the base
+block with row r scaled by 1/(d_r + c_r), where c_r counts r's shortcuts.
+Exact solves therefore build no overlay; they read
+``graph.shortcut_counts`` and solve on the graph's own CSR arrays.
+
 One builder, ``_factored``, assembles (I - Q) for any transient set from
 the graph's CSR slices (``graph.block_entries``) with no loop over nodes and
 factors it.  Dense LU serves a block of at most ``DENSE_NODE_LIMIT``
@@ -26,7 +32,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import InvalidParameter, SolverFailure
-from .graph import AugmentedView, ShortcutSet, augmented_view, block_entries
+from .graph import block_entries, shortcut_counts
 
 __all__ = [
     "HittingProfile",
@@ -82,14 +88,6 @@ class HittingProfile:
         return float(self.times[pos])
 
 
-def _as_graph(instance, shortcuts):
-    if isinstance(instance, AugmentedView):
-        if ShortcutSet.coerce(shortcuts).k_used:
-            raise InvalidParameter("pass shortcuts or an augmented view, not both")
-        return instance
-    return augmented_view(instance, shortcuts)
-
-
 def _has_many_cycles(rows, cols, m):
     """Whether the block's cycle rank E - m + (components) exceeds
     ``DENSE_MIN_CYCLE_SHARE`` of its m nodes.  Components are counted only
@@ -108,16 +106,19 @@ def _has_many_cycles(rows, cols, m):
     return excess + components > DENSE_MIN_CYCLE_SHARE * m
 
 
-def _factored(graph, nodes, dense_limit):
+def _factored(graph, nodes, dense_limit, degrees=None):
     """Assemble I - Q on ``nodes`` and factor it.  Returns (A, solve).
 
+    Row v is scaled by 1/``degrees[v]``, the graph's own degrees by default.
     Dense LU when the block has at most ``dense_limit`` unknowns and its
     cycle rank exceeds ``DENSE_MIN_CYCLE_SHARE`` of them; sparse LU
     otherwise, which on a near-forest fills in almost nothing.
     """
     m = nodes.size
+    if degrees is None:
+        degrees = graph.degrees
     rows, cols = block_entries(graph, nodes)
-    weights = (1.0 / graph.degrees[nodes])[rows]
+    weights = (1.0 / degrees[nodes])[rows]
 
     if m <= dense_limit and _has_many_cycles(rows, cols, m):
         A = np.eye(m)
@@ -138,9 +139,9 @@ def _factored(graph, nodes, dense_limit):
     return A, factor.solve
 
 
-def _transient_times(graph, transient, dense_limit):
+def _transient_times(graph, transient, dense_limit, degrees=None):
     """Solve (I - Q) h = 1 over the given transient node set."""
-    A, solve = _factored(graph, transient, dense_limit)
+    A, solve = _factored(graph, transient, dense_limit, degrees)
     path = "sparse LU" if scipy.sparse.issparse(A) else "dense LU"
     b = np.ones(transient.size)
     h = solve(b)
@@ -160,15 +161,16 @@ def _transient_times(graph, transient, dense_limit):
 def hitting_to_blue(instance, shortcuts=None, dense_limit=DENSE_NODE_LIMIT) -> HittingProfile:
     """Exact expected hitting times from every red node to the blue group.
 
-    ``shortcuts`` is applied as an overlay before solving; the instance is
+    ``instance`` is a base instance or an augmented view.  ``shortcuts`` only
+    add to the red degrees, so no overlay is built and the instance is
     untouched.  Raises SolverFailure if the residual cannot be pushed below
     the tolerance, or if the solution violates basic sanity bounds.
     """
-    graph = _as_graph(instance, shortcuts)
-    reds = graph.red_ids
-    h = _transient_times(graph, reds, dense_limit)
+    reds = instance.red_ids
+    degrees = instance.degrees + shortcut_counts(instance, shortcuts)
+    h = _transient_times(instance, reds, dense_limit, degrees)
 
-    n_cubed = float(graph.n) ** 3
+    n_cubed = float(instance.n) ** 3
     if h.min() < 1.0 - 1e-9:
         raise SolverFailure(f"hitting time {h.min()} below 1")
     if h.max() > n_cubed * (1.0 + 1e-9):
@@ -189,19 +191,18 @@ def hitting_to_target(instance, target, dense_limit=DENSE_NODE_LIMIT) -> np.ndar
     the walk.  Returns an array of length n with H(u, target) at index u
     and 0 at every target node.
     """
-    graph = _as_graph(instance, None)
     targets = [int(target)] if np.ndim(target) == 0 else [int(t) for t in target]
     if not targets:
         raise InvalidParameter("target set is empty")
     for t in targets:
-        if not 0 <= t < graph.n:
+        if not 0 <= t < instance.n:
             raise InvalidParameter(f"target {t} out of range")
-    absorbing = np.zeros(graph.n, dtype=bool)
+    absorbing = np.zeros(instance.n, dtype=bool)
     absorbing[targets] = True
     transient = np.flatnonzero(~absorbing)
-    out = np.zeros(graph.n)
+    out = np.zeros(instance.n)
     if transient.size:
-        out[transient] = _transient_times(graph, transient, dense_limit)
+        out[transient] = _transient_times(instance, transient, dense_limit)
     return out
 
 

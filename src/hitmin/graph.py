@@ -4,17 +4,26 @@ An instance is an undirected, simple, connected graph whose nodes are split
 into a red group and a blue group.  Every graph, base or augmented, is stored
 as read-only CSR arrays: ``indices[indptr[v]:indptr[v + 1]]`` lists the
 neighbours of v, and ``neighbors(v)`` returns that slice as a view.  A base
-instance keeps each row sorted ascending.  Shortcut bookkeeping stores only
-the red endpoints of added inter-group edges: the objectives depend on
-nothing else, so the blue partners are materialized on demand by a fixed
-deterministic rule (lowest-index blue node not yet adjacent to the
-endpoint).  An augmented view splices those edges into a copy of the base
-arrays, after each row's base neighbours, in ascending order.
+instance keeps each row sorted ascending.
+
+This module holds the one shortcut rule.  A shortcut joins a red node to a
+blue node it is not yet adjacent to, so red r can take ``capacity[r]`` more
+of them: ``blue_count - blue_degree[r]``, and 0 on blue nodes.
+``shortcut_counts`` checks a multiset against that rule and returns how many
+shortcuts each node takes.  Shortcut bookkeeping stores only the red
+endpoints: the objectives depend on nothing else, so the exact solvers read
+only the counts.  The blue partners are materialized only for the walks that
+need neighbour lists, by a fixed deterministic rule (lowest-index blue node
+not yet adjacent to the endpoint).  An augmented view splices those edges
+into a copy of the base arrays, after each row's base neighbours, in
+ascending order.  A view has its own ``degrees`` and ``capacity``, so it may
+itself take shortcuts.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +46,7 @@ __all__ = [
     "augmented_view",
     "block_entries",
     "candidate_endpoints",
+    "shortcut_counts",
 ]
 
 
@@ -48,6 +58,7 @@ class BipartiteInstance:
     instances leave it unset and fall back to the decimal index.
     Instances are immutable after construction; the adjacency lives in the
     read-only CSR arrays ``indptr`` and ``indices``, each row ascending.
+    ``capacity[v]`` is how many shortcuts node v can still take.
     ``edges`` is an (m, 2) integer array or an iterable of (u, v) pairs; an
     array is used as it is, without a round trip through Python tuples.
     """
@@ -95,11 +106,12 @@ class BipartiteInstance:
         self.degrees = degrees
         self.blue_degree = (np.bincount(u[~is_red[v]], minlength=n)
                             + np.bincount(v[~is_red[u]], minlength=n))
-        for arr in (self.indptr, self.indices, self.is_red, self.degrees,
-                    self.blue_degree):
-            arr.setflags(write=False)
         self.red_ids = np.flatnonzero(is_red)
         self.blue_ids = np.flatnonzero(~is_red)
+        self.capacity = np.where(is_red, self.blue_ids.size - self.blue_degree, 0)
+        for arr in (self.indptr, self.indices, self.is_red, self.degrees,
+                    self.blue_degree, self.capacity):
+            arr.setflags(write=False)
         self.node_names = node_names
         self._name_to_index = (
             {name: i for i, name in enumerate(node_names)} if node_names else None
@@ -221,16 +233,17 @@ class ShortcutSet:
 
 
 class AugmentedView:
-    """Read-only overlay: a base instance plus materialized shortcut edges.
+    """Read-only overlay: a base graph plus materialized shortcut edges.
 
     Each multiset entry r gains one edge to the lowest-index blue node not
     yet adjacent to r, so equal shortcut multisets always produce the same
     augmented graph.  The added edges are spliced into a copy of the base
     CSR arrays: each row lists its base neighbours first, then its added
-    partners in ascending order.  The base instance is never modified.
+    partners in ascending order.  The base is never modified, and may
+    itself be a view.
     """
 
-    def __init__(self, base: BipartiteInstance, shortcuts: ShortcutSet):
+    def __init__(self, base, shortcuts: ShortcutSet):
         self.base = base
         self.shortcuts = shortcuts
         self.n = base.n
@@ -238,33 +251,24 @@ class AugmentedView:
         self.red_ids = base.red_ids
         self.blue_ids = base.blue_ids
 
-        counts = shortcuts.counts()
-        blue_degree = base.blue_degree.copy()
-        ends: list[int] = []
-        partners: list[int] = []
-        for r in sorted(counts):
-            c = counts[r]
-            if not 0 <= r < base.n or not base.is_red[r]:
-                raise InvalidParameter(f"shortcut endpoint {r} is not a red node")
-            open_slot = np.ones(base.n, dtype=bool)
-            open_slot[base.neighbors(r)] = False
-            free = base.blue_ids[open_slot[base.blue_ids]]
-            if free.size < c:
-                raise CapacityExceeded(
-                    f"endpoint {r} has {free.size} free blue slot(s), needs {c}"
-                )
-            ends.extend([r] * c)
-            partners.extend(free[:c].tolist())
-            blue_degree[r] += c
-
-        self.blue_degree = blue_degree
-        self.edge_count = base.edge_count + len(ends)
-        if not ends:
+        counts = shortcut_counts(base, shortcuts)
+        self.blue_degree = base.blue_degree + counts
+        self.capacity = base.capacity - counts
+        self.blue_degree.setflags(write=False)
+        self.capacity.setflags(write=False)
+        self.edge_count = base.edge_count + len(shortcuts)
+        if not len(shortcuts):
             self.indptr, self.indices = base.indptr, base.indices
             self.degrees = base.degrees
             return
-        src = np.array(ends + partners, dtype=np.int64)
-        dst = np.array(partners + ends, dtype=np.int64)
+        ends = np.flatnonzero(counts)
+        partners = np.concatenate([
+            np.setdiff1d(base.blue_ids, base.neighbors(r), assume_unique=True)[:c]
+            for r, c in zip(ends, counts[ends])
+        ])
+        ends = np.repeat(ends, counts[ends])
+        src = np.concatenate((ends, partners))
+        dst = np.concatenate((partners, ends))
         order = np.lexsort((dst, src))
         src, dst = src[order], dst[order]
         added = np.bincount(src, minlength=base.n)
@@ -330,25 +334,42 @@ def block_entries(graph, nodes):
     return rows[keep], cols[keep]
 
 
-def augmented_view(instance: BipartiteInstance, shortcuts=None) -> AugmentedView:
+def augmented_view(instance, shortcuts=None) -> AugmentedView:
     """Overlay ``shortcuts`` on ``instance``; the instance is never modified."""
     return AugmentedView(instance, ShortcutSet.coerce(shortcuts))
 
 
-def candidate_endpoints(instance: BipartiteInstance, shortcuts=None) -> list[int]:
-    """Red nodes that can still take a shortcut on top of ``shortcuts``.
+def shortcut_counts(graph, shortcuts=None) -> np.ndarray:
+    """Shortcuts each node takes under a multiset, checked against the rule.
 
-    A red node is a candidate while its blue-neighbor count, including one
-    slot per shortcut already charged to it, stays below the blue group size.
+    Returns an int array of length n.  Raises on the lowest endpoint that
+    breaks the rule: InvalidParameter if it is not a red node,
+    CapacityExceeded if it takes more shortcuts than its capacity.
     """
-    counts = ShortcutSet.coerce(shortcuts).counts()
-    total_blue = instance.blue_count
-    out = []
-    for r in instance.red_ids:
-        r = int(r)
-        if instance.blue_degree[r] + counts.get(r, 0) < total_blue:
-            out.append(r)
-    return out
+    ends = ShortcutSet.coerce(shortcuts).endpoints  # ascending
+    lo, hi = bisect_left(ends, 0), bisect_left(ends, graph.n)
+    counts = np.bincount(np.array(ends[lo:hi], dtype=np.int64), minlength=graph.n)
+    over = np.flatnonzero(counts > graph.capacity)
+    if lo:
+        bad = ends[0]
+    elif over.size:
+        bad = int(over[0])
+    elif hi < len(ends):
+        bad = ends[hi]
+    else:
+        return counts
+    if not 0 <= bad < graph.n or not graph.is_red[bad]:
+        raise InvalidParameter(f"shortcut endpoint {bad} is not a red node")
+    raise CapacityExceeded(
+        f"endpoint {bad} has {graph.capacity[bad]} free blue slot(s), "
+        f"needs {counts[bad]}"
+    )
+
+
+def candidate_endpoints(instance, shortcuts=None) -> list[int]:
+    """Red nodes that can still take a shortcut on top of ``shortcuts``."""
+    spare = instance.capacity - shortcut_counts(instance, shortcuts)
+    return np.flatnonzero(spare > 0).tolist()
 
 
 def _as_lines(source):

@@ -256,10 +256,7 @@ def kcenter_shortcuts(instance, k: int):
         raise InvalidParameter(f"budget k must be >= 1, got {k}")
     qm = build_quasi_metric(instance)
     solution = asym_k_center_fixed(qm, k)
-    endpoints = [
-        c for c in solution.centers
-        if int(instance.blue_degree[c]) < instance.blue_count
-    ]
+    endpoints = [c for c in solution.centers if instance.capacity[c]]
     return ShortcutSet(endpoints), solution
 
 

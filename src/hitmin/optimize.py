@@ -82,8 +82,7 @@ def iteration_budget(k: int, n: int, epsilon: float, estimated: bool = False) ->
     return math.ceil(factor * math.log(float(n) ** 3 / epsilon))
 
 
-def greedy_exact(instance, k: int, epsilon: float = 0.1, cap_at_k: bool = True,
-                 lazy: bool = True):
+def greedy_exact(instance, k: int, epsilon: float = 0.1, cap_at_k: bool = True):
     """Greedy insertion of shortcut endpoints under the exact mean objective.
 
     Runs for k iterations when ``cap_at_k`` is set, otherwise for the full
@@ -101,7 +100,7 @@ def greedy_exact(instance, k: int, epsilon: float = 0.1, cap_at_k: bool = True,
     def measure(sc, endpoint, iteration):
         return evaluate(instance, sc, "avg")
 
-    selected = _greedy_loop(instance, tau, measure, trace, lazy=lazy, exact=True)
+    selected = _greedy_loop(instance, tau, measure, trace, exact=True)
     return selected, trace
 
 
@@ -131,26 +130,27 @@ def greedy_plus(instance, k: int, epsilon: float = 0.1,
         cfg = config.reseeded(iteration, endpoint)
         return estimate_mean_hitting(instance, sc, cfg).value
 
-    selected = _greedy_loop(instance, tau, measure, trace, lazy=False, exact=False)
+    selected = _greedy_loop(instance, tau, measure, trace, exact=False)
     return selected, trace
 
 
-def _greedy_loop(instance, tau, measure, trace, lazy, exact):
+def _greedy_loop(instance, tau, measure, trace, exact):
+    """Greedy insertion shared by both variants.
+
+    The exact greedy is lazy; the sampled greedy scores every candidate in
+    every iteration and keeps the first strict minimum.
+    """
     start = time.perf_counter()
     selected = ShortcutSet()
     evals = 0
-    current = None
     if exact:
         current = measure(selected, instance.n, 0)
         evals += 1
-
-    # lazy queue of (-marginal, endpoint, stamp, value); an entry may only
-    # win after being refreshed at the current iteration, which reproduces
-    # the eager argmin with the same lowest-index tie-break
-    heap: list = []
-    if lazy:
-        for r in candidate_endpoints(instance, selected):
-            heap.append((-math.inf, r, -1, math.inf))
+        # lazy queue of (-marginal, endpoint, stamp, value); an entry may only
+        # win after being refreshed at the current iteration, which reproduces
+        # the eager argmin with the same lowest-index tie-break
+        heap = [(-math.inf, r, -1, math.inf)
+                for r in candidate_endpoints(instance, selected)]
         heapq.heapify(heap)
 
     for i in range(tau):
@@ -158,10 +158,10 @@ def _greedy_loop(instance, tau, measure, trace, lazy, exact):
         if not cands:
             break
 
-        if lazy:
+        best = None
+        best_value = None
+        if exact:
             cand_set = set(cands)
-            best = None
-            best_value = None
             while heap:
                 neg_delta, r, stamp, value = heapq.heappop(heap)
                 if r not in cand_set:
@@ -172,29 +172,22 @@ def _greedy_loop(instance, tau, measure, trace, lazy, exact):
                 value = measure(selected.with_added(r), r, i)
                 evals += 1
                 heapq.heappush(heap, (-(current - value), r, i, value))
-            if best is None:
+            if best is None or current - best_value <= _MARGINAL_FLOOR:
                 break
-        else:
-            best = None
-            best_value = None
-            for r in cands:
-                value = measure(selected.with_added(r), r, i)
-                evals += 1
-                # exact comparison, not floor-banded: the lazy queue orders by
-                # raw floats, and the two paths must pick identical endpoints
-                if best_value is None or value < best_value:
-                    best, best_value = r, value
-
-        if exact and current - best_value <= _MARGINAL_FLOOR:
-            break
-        if lazy:
             # the winner's fresh marginal stays a valid upper bound for the
             # next iteration under supermodularity
             heapq.heappush(heap, (-(current - best_value), best, i, best_value))
+            current = best_value
+        else:
+            for r in cands:
+                value = measure(selected.with_added(r), r, i)
+                evals += 1
+                # exact comparison, not floor-banded: the same raw-float
+                # order the lazy queue applies
+                if best_value is None or value < best_value:
+                    best, best_value = r, value
 
         selected = selected.with_added(best)
-        if exact:
-            current = best_value
         trace.entries.append(TraceEntry(
             endpoint=int(best),
             value=float(best_value),
@@ -222,25 +215,16 @@ def brute_force_opt(instance, k: int, objective: str = "avg",
             f"{total} multisets exceed the enumeration cap {max_multisets}"
         )
 
-    capacity = {
-        r: instance.blue_count - int(instance.blue_degree[r]) for r in cands
-    }
     best_set = None
     best_value = None
     for size in range(k, -1, -1):
         for combo in combinations_with_replacement(cands, size):
-            counts: dict[int, int] = {}
-            feasible = True
-            for r in combo:
-                counts[r] = counts.get(r, 0) + 1
-                if counts[r] > capacity[r]:
-                    feasible = False
-                    break
-            if not feasible:
+            shortcuts = ShortcutSet(combo)
+            if any(c > instance.capacity[r] for r, c in shortcuts.counts().items()):
                 continue
-            value = evaluate(instance, ShortcutSet(combo), objective)
+            value = evaluate(instance, shortcuts, objective)
             if best_value is None or value < best_value - _MARGINAL_FLOOR:
-                best_set, best_value = ShortcutSet(combo), value
+                best_set, best_value = shortcuts, value
     return best_set, best_value
 
 
@@ -260,22 +244,19 @@ def pure_random(instance, k: int, seed: int) -> ShortcutSet:
             warnings.warn("no shortcut capacity left; returning an empty set",
                           stacklevel=2)
         return ShortcutSet()
-    capacity = {
-        r: instance.blue_count - int(instance.blue_degree[r]) for r in cands
-    }
-    used: dict[int, int] = {}
+    spare = instance.capacity.copy()
     chosen: list[int] = []
     while len(chosen) < k:
-        if not any(used.get(r, 0) < capacity[r] for r in cands):
+        if not spare.any():
             warnings.warn(
                 f"capacity exhausted after {len(chosen)} of {k} shortcuts",
                 stacklevel=2,
             )
             break
         r = cands[int(rng.integers(0, len(cands)))]
-        if used.get(r, 0) >= capacity[r]:
+        if not spare[r]:
             continue
-        used[r] = used.get(r, 0) + 1
+        spare[r] -= 1
         chosen.append(r)
     return ShortcutSet(chosen)
 

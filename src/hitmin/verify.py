@@ -106,13 +106,6 @@ def _check_monotone(instance, level):
     return _result("shortcut-monotonicity", True, f"chain of {steps} additions")
 
 
-def _pair_capacity_ok(instance, counts):
-    for r, c in counts.items():
-        if int(instance.blue_degree[r]) + c > instance.blue_count:
-            return False
-    return True
-
-
 def _check_supermodular(instance, level):
     if instance.n > 600:
         return _skip("supermodular-pairs", f"n={instance.n} exceeds the gate")
@@ -120,13 +113,8 @@ def _check_supermodular(instance, level):
     if not cands:
         return _skip("supermodular-pairs", "no shortcut capacity")
     pool = cands[:4] if level == "fast" else cands
-    pairs = []
-    for i, e1 in enumerate(pool):
-        for e2 in pool[i:]:
-            counts = {e1: 1}
-            counts[e2] = counts.get(e2, 0) + 1
-            if _pair_capacity_ok(instance, counts):
-                pairs.append((e1, e2))
+    pairs = [(e1, e2) for i, e1 in enumerate(pool) for e2 in pool[i:]
+             if e1 != e2 or instance.capacity[e1] >= 2]
     limit = 6 if level == "fast" else 100
     pairs = pairs[:limit]
     if not pairs:
@@ -151,14 +139,11 @@ def _check_supermodular(instance, level):
 
 
 def _check_endpoint_invariance(instance, level):
-    target = None
-    for r in candidate_endpoints(instance, None):
-        if instance.blue_count - int(instance.blue_degree[r]) >= 2:
-            target = r
-            break
-    if target is None:
+    roomy = np.flatnonzero(instance.capacity >= 2)
+    if not roomy.size:
         return _skip("endpoint-invariance",
                      "no red node with two free blue partners")
+    target = int(roomy[0])
     adjacent = set(int(v) for v in instance.neighbors(target))
     free = [int(b) for b in instance.blue_ids if b not in adjacent][:2]
     values = []

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hitmin import InvalidParameter
+from hitmin import InvalidParameter, ShortcutSet, evaluate, load_instance
 from hitmin.cli import CSV_HEADER, main, parse_gen_spec
 
 
@@ -45,6 +45,32 @@ def test_eval_roundtrips_generated_files(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["g"] == 2.75
+
+
+def test_eval_reads_endpoints_as_node_names(tmp_path, capsys):
+    # file node names are numbered by first appearance when loaded, so the
+    # loaded index of a name differs from the generated index it spells
+    spec = "planted;n_red=6;n_blue=6;p_in=0.5;p_out=0.2;seed=3"
+    prefix = str(tmp_path / "planted")
+    assert main(["gen", "--spec", spec, "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    generated = parse_gen_spec(spec, None)
+    loaded = load_instance(prefix + ".edges", prefix + ".partition")
+    assert [loaded.name_of(v) for v in range(loaded.n)] != [
+        str(v) for v in range(loaded.n)]
+    for r in generated.red_ids:
+        name = str(r)
+        assert main(["eval", "--edges", prefix + ".edges",
+                     "--partition", prefix + ".partition",
+                     "--shortcuts", name]) == 0
+        out = json.loads(capsys.readouterr().out)
+        shortcuts = ShortcutSet((loaded.index_of(name),))
+        assert out == {"g": evaluate(loaded, shortcuts, "avg"),
+                       "f": evaluate(loaded, shortcuts, "max"), "edges": 1}
+        for key, objective in (("g", "avg"), ("f", "max")):
+            assert out[key] == pytest.approx(
+                evaluate(generated, ShortcutSet((int(r),)), objective),
+                rel=1e-12, abs=0)
 
 
 def test_run_sweep_frozen_rows(tmp_path):

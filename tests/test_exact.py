@@ -1,5 +1,7 @@
 """Absorbing-walk solver: frozen hand values, closed forms, and invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -233,3 +235,25 @@ def test_solver_failure_names_the_path(monkeypatch, dense_limit, path):
     with pytest.raises(SolverFailure,
                        match=rf"after refinement \({path}, 30 unknowns\)$"):
         hitting_to_blue(inst, dense_limit=dense_limit)
+
+
+# SHA-1 of times.tobytes(), recorded while every solve still built an overlay
+@pytest.mark.parametrize("make, shortcuts, digest", [
+    (lambda: gen_planted_two_community(30, 30, 0.2, 0.05, 7), (3, 11, 11, 24),
+     "fc7534c0754c4e173ea7b0d8356defc0eef17271"),
+    (lambda: gen_lollipop(400, 30), (50, 200, 399, 420),
+     "12ef2e23d093e3b8bbcaa400c14f472bcf6540e4"),
+])
+def test_shortcut_times_are_pinned(make, shortcuts, digest):
+    times = hitting_to_blue(make(), ShortcutSet(shortcuts)).times
+    assert hashlib.sha1(times.tobytes()).hexdigest() == digest
+
+
+def test_view_takes_more_shortcuts():
+    inst = gen_planted_two_community(30, 30, 0.2, 0.05, 7)
+    first, second = (3, 11), (11, 24, 24)
+    stacked = hitting_to_blue(augmented_view(inst, first), ShortcutSet(second))
+    once = hitting_to_blue(inst, ShortcutSet(first + second))
+    assert stacked.times.tobytes() == once.times.tobytes()
+    assert (hitting_to_blue(augmented_view(inst, first + second)).times.tobytes()
+            == once.times.tobytes())

@@ -10,13 +10,17 @@ from hitmin import (
     BipartiteInstance,
     CapacityExceeded,
     DisconnectedGraph,
+    EstimatorConfig,
     InvalidBipartition,
     InvalidParameter,
     MalformedInput,
     ShortcutSet,
     augmented_view,
     candidate_endpoints,
+    estimate_mean_hitting,
+    gen_path,
     gen_planted_two_community,
+    hitting_to_blue,
     load_instance,
 )
 from hitmin.graph import block_entries
@@ -235,3 +239,81 @@ def test_disconnected_graph_reports_the_unreachable_count(n_red, n_blue, p_in):
     assert str(caught.value) == (
         f"graph has {_unreachable_from_zero(inst.n, flipped)} node(s) "
         "unreachable from node 0")
+
+
+def test_capacity_is_read_only_and_counts_free_blue_slots(tiny_batch, path5):
+    for inst in tiny_batch + [path5]:
+        assert not inst.capacity.flags.writeable
+        red = inst.is_red
+        np.testing.assert_array_equal(inst.capacity[red],
+                                      inst.blue_count - inst.blue_degree[red])
+        assert not inst.capacity[~red].any()
+    view = augmented_view(path5, ShortcutSet((0,)))
+    assert not view.capacity.flags.writeable
+    assert list(view.capacity) == [0, 0, 0, 0, 1]
+
+
+def _old_candidate_loop(inst, shortcuts):
+    counts = ShortcutSet.coerce(shortcuts).counts()
+    return [int(r) for r in inst.red_ids
+            if inst.blue_degree[r] + counts.get(int(r), 0) < inst.blue_count]
+
+
+def test_candidate_endpoints_match_the_row_loop(tiny_batch):
+    for inst in tiny_batch:
+        cands = candidate_endpoints(inst)
+        assert cands == _old_candidate_loop(inst, None)
+        for r in cands:
+            full = (r,) * int(inst.blue_count - inst.blue_degree[r])
+            for extra in [()] + [(e,) for e in cands if e != r]:
+                shortcuts = ShortcutSet(full + extra)
+                assert (candidate_endpoints(inst, shortcuts)
+                        == _old_candidate_loop(inst, shortcuts))
+
+
+def test_stacked_views_match_one_overlay():
+    inst = gen_planted_two_community(30, 30, 0.2, 0.05, 7)
+    first, second = (3, 11), (11, 24, 24)
+    once = augmented_view(inst, first + second)
+    stacked = augmented_view(augmented_view(inst, first), second)
+    for v in inst.red_ids:
+        np.testing.assert_array_equal(stacked.neighbors(v), once.neighbors(v))
+    for attr in ("degrees", "blue_degree", "capacity"):
+        np.testing.assert_array_equal(getattr(stacked, attr), getattr(once, attr))
+    assert stacked.edge_count == once.edge_count
+
+
+# messages recorded before the shortcut rule moved into shortcut_counts
+_PLANTED = (30, 30, 0.2, 0.05, 7)
+_SHORTCUT_ERRORS = [
+    (_PLANTED, (3, 40), InvalidParameter, "shortcut endpoint 40 is not a red node"),
+    (_PLANTED, (-1, 3), InvalidParameter, "shortcut endpoint -1 is not a red node"),
+    (_PLANTED, (3, 60), InvalidParameter, "shortcut endpoint 60 is not a red node"),
+    (_PLANTED, (1,) * 27, CapacityExceeded,
+     "endpoint 1 has 26 free blue slot(s), needs 27"),
+    # the lowest bad endpoint is reported, whatever is wrong with it
+    (_PLANTED, (0,) * 29 + (45,), CapacityExceeded,
+     "endpoint 0 has 28 free blue slot(s), needs 29"),
+    (_PLANTED, (0,) * 29 + (-2,), InvalidParameter,
+     "shortcut endpoint -2 is not a red node"),
+    (_PLANTED, (1,) * 27 + (60,), CapacityExceeded,
+     "endpoint 1 has 26 free blue slot(s), needs 27"),
+    # a blue node fails the red check before the capacity check
+    (_PLANTED, (40, 40, 60), InvalidParameter,
+     "shortcut endpoint 40 is not a red node"),
+    # path 0-1-2-3-4 with blue 2: red 1 already touches the only blue node
+    (None, (1, 4), CapacityExceeded, "endpoint 1 has 0 free blue slot(s), needs 1"),
+]
+
+
+@pytest.mark.parametrize("planted, shortcuts, error, message", _SHORTCUT_ERRORS)
+def test_shortcut_errors_are_the_same_everywhere(planted, shortcuts, error, message):
+    inst = gen_planted_two_community(*planted) if planted else gen_path(5, [2])
+    config = EstimatorConfig(walk_length=2, samples_per_node=2, spectral_bound=0.5)
+    calls = (lambda: hitting_to_blue(inst, ShortcutSet(shortcuts)),
+             lambda: augmented_view(inst, ShortcutSet(shortcuts)),
+             lambda: estimate_mean_hitting(inst, shortcuts, config))
+    for call in calls:
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message

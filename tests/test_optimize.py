@@ -8,6 +8,7 @@ from hitmin import (
     InvalidParameter,
     ShortcutSet,
     brute_force_opt,
+    candidate_endpoints,
     evaluate,
     gen_planted_two_community,
     gen_star_path_clique,
@@ -69,15 +70,34 @@ def test_greedy_trace_strictly_decreases(path5):
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def _eager_greedy(inst, k):
+    # every candidate scored in every iteration, ascending, first strict
+    # minimum kept; stops like greedy_exact once the gain is at most 1e-12
+    selected, values = ShortcutSet(), []
+    current, evaluations = evaluate(inst, selected), 1
+    for _ in range(k):
+        best = best_value = None
+        for r in candidate_endpoints(inst, selected):
+            value = evaluate(inst, selected.with_added(r))
+            evaluations += 1
+            if best_value is None or value < best_value:
+                best, best_value = r, value
+        if best is None or current - best_value <= 1e-12:
+            break
+        selected, current = selected.with_added(best), best_value
+        values.append(best_value)
+    return selected, values, evaluations
+
+
 def test_lazy_matches_eager():
     for seed in range(10):
         inst = gen_planted_two_community(5, 5, 0.5, 0.2, 100 + seed)
         for k in (1, 2, 3):
-            lazy_s, lazy_t = greedy_exact(inst, k, lazy=True)
-            eager_s, eager_t = greedy_exact(inst, k, lazy=False)
+            lazy_s, lazy_t = greedy_exact(inst, k)
+            eager_s, eager_values, eager_evaluations = _eager_greedy(inst, k)
             assert lazy_s.endpoints == eager_s.endpoints
-            assert lazy_t.values == eager_t.values
-            assert lazy_t.evaluations <= eager_t.evaluations
+            assert lazy_t.values == eager_values
+            assert lazy_t.evaluations <= eager_evaluations
 
 
 def test_greedy_plus_guarantee_needs_small_epsilon(path5):
