@@ -120,8 +120,9 @@ class EstimatorConfig:
     """Knobs for the sampled estimator.
 
     Unset fields are resolved per call: the spectral bound from power
-    iteration on the augmented graph, walk length and trial count from the
-    formulas, and the subsample fraction from the mode (1.0 when
+    iteration on the degree-normalized red-red block, the red degrees
+    counting the shortcuts; walk length and trial count from the
+    formulas; and the subsample fraction from the mode (1.0 when
     ``guarantee`` is set, 0.1 otherwise).  Guarantee mode insists on safe
     values: full sampling, a spectral override no smaller than the computed
     radius, and walk/trial overrides no smaller than the formulas with
@@ -211,8 +212,9 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
 
     Deterministic for a fixed (instance, shortcuts, config): every start
     node draws from its own substream keyed by (seed, node index), so the
-    result does not depend on evaluation order.  The walks need the
-    shortcut partners, so they run on ``augmented_view(instance, shortcuts)``.
+    result does not depend on evaluation order.  The walks run on
+    ``augmented_view(instance, shortcuts)``, where a draw of a shortcut slot
+    absorbs the walk.
     """
     config = config or EstimatorConfig()
     if not 0 < config.epsilon < 1:

@@ -63,9 +63,9 @@ class HittingProfile:
     """Per-red-node expected hitting times to the blue group.
 
     ``times`` is aligned with ``red_ids`` (ascending node index).  The
-    constructor enforces the structural bound max <= 2 * |R|^(3/4) * mean,
-    which holds for every connected instance; a violation means the solver
-    produced garbage.
+    constructor raises when max > 2 * |R|^(3/4) * mean.  That ratio bound
+    is not proved here: it is a sanity gate, and a violation is taken to
+    mean the solver produced garbage.
     """
 
     red_ids: np.ndarray
@@ -161,10 +161,10 @@ def _transient_times(graph, transient, dense_limit, degrees=None):
 def hitting_to_blue(instance, shortcuts=None, dense_limit=DENSE_NODE_LIMIT) -> HittingProfile:
     """Exact expected hitting times from every red node to the blue group.
 
-    ``instance`` is a base instance or an augmented view.  ``shortcuts`` only
-    add to the red degrees, so no overlay is built and the instance is
-    untouched.  Raises SolverFailure if the residual cannot be pushed below
-    the tolerance, or if the solution violates basic sanity bounds.
+    ``shortcuts`` only add to the red degrees, so no overlay is built and
+    the instance is untouched.  Raises SolverFailure if the residual cannot
+    be pushed below the tolerance, or if the solution violates basic sanity
+    bounds.
     """
     reds = instance.red_ids
     degrees = instance.degrees + shortcut_counts(instance, shortcuts)

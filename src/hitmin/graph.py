@@ -1,10 +1,9 @@
 """Graph containers shared by every other module.
 
 An instance is an undirected, simple, connected graph whose nodes are split
-into a red group and a blue group.  Every graph, base or augmented, is stored
-as read-only CSR arrays: ``indices[indptr[v]:indptr[v + 1]]`` lists the
-neighbours of v, and ``neighbors(v)`` returns that slice as a view.  A base
-instance keeps each row sorted ascending.
+into a red group and a blue group.  It is stored as read-only CSR arrays:
+``indices[indptr[v]:indptr[v + 1]]`` lists the neighbours of v, each row
+ascending, and ``neighbors(v)`` returns that slice as a view.
 
 This module holds the one shortcut rule.  A shortcut joins a red node to a
 blue node it is not yet adjacent to, so red r can take ``capacity[r]`` more
@@ -12,12 +11,8 @@ of them: ``blue_count - blue_degree[r]``, and 0 on blue nodes.
 ``shortcut_counts`` checks a multiset against that rule and returns how many
 shortcuts each node takes.  Shortcut bookkeeping stores only the red
 endpoints: the objectives depend on nothing else, so the exact solvers read
-only the counts.  The blue partners are materialized only for the walks that
-need neighbour lists, by a fixed deterministic rule (lowest-index blue node
-not yet adjacent to the endpoint).  An augmented view splices those edges
-into a copy of the base arrays, after each row's base neighbours, in
-ascending order.  A view has its own ``degrees`` and ``capacity``, so it may
-itself take shortcuts.
+only the counts, and no blue partner is ever chosen.  The walks read an
+``AugmentedView``, whose red rows end in one absorbing slot per shortcut.
 """
 
 from __future__ import annotations
@@ -233,66 +228,31 @@ class ShortcutSet:
 
 
 class AugmentedView:
-    """Read-only overlay: a base graph plus materialized shortcut edges.
+    """Walk overlay: a base instance whose red rows end in absorbing slots.
 
-    Each multiset entry r gains one edge to the lowest-index blue node not
-    yet adjacent to r, so equal shortcut multisets always produce the same
-    augmented graph.  The added edges are spliced into a copy of the base
-    CSR arrays: each row lists its base neighbours first, then its added
-    partners in ascending order.  The base is never modified, and may
-    itself be a view.
+    Valid only for walks that start at red nodes and stop at the first blue
+    node they reach.  Red row r is its base row followed by ``counts[r]``
+    copies of one blue node, so a walk at r draws one of
+    ``degrees[r] = base degree + counts[r]`` slots and stops on a shortcut
+    slot, whichever blue node the shortcut joins.  Blue rows are the base
+    rows: no such walk reads them.  The base is never modified, and with no
+    shortcuts the view shares its arrays.
     """
 
-    def __init__(self, base, shortcuts: ShortcutSet):
-        self.base = base
-        self.shortcuts = shortcuts
+    def __init__(self, base, shortcuts):
+        counts = shortcut_counts(base, shortcuts)
         self.n = base.n
         self.is_red = base.is_red
         self.red_ids = base.red_ids
-        self.blue_ids = base.blue_ids
-
-        counts = shortcut_counts(base, shortcuts)
-        self.blue_degree = base.blue_degree + counts
-        self.capacity = base.capacity - counts
-        self.blue_degree.setflags(write=False)
-        self.capacity.setflags(write=False)
-        self.edge_count = base.edge_count + len(shortcuts)
-        if not len(shortcuts):
-            self.indptr, self.indices = base.indptr, base.indices
-            self.degrees = base.degrees
-            return
-        ends = np.flatnonzero(counts)
-        partners = np.concatenate([
-            np.setdiff1d(base.blue_ids, base.neighbors(r), assume_unique=True)[:c]
-            for r, c in zip(ends, counts[ends])
-        ])
-        ends = np.repeat(ends, counts[ends])
-        src = np.concatenate((ends, partners))
-        dst = np.concatenate((partners, ends))
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        added = np.bincount(src, minlength=base.n)
-        self.degrees = base.degrees + added
-        # np.insert keeps the given order among values at one position
-        self.indices = np.insert(base.indices, base.indptr[src + 1], dst)
-        self.indptr = base.indptr.copy()
-        np.cumsum(self.degrees, out=self.indptr[1:])
-        self.indices.setflags(write=False)
-        self.indptr.setflags(write=False)
-
-    @property
-    def red_count(self) -> int:
-        return self.base.red_count
-
-    @property
-    def blue_count(self) -> int:
-        return self.base.blue_count
-
-    def neighbors(self, v) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def __repr__(self):
-        return f"AugmentedView(base={self.base!r}, shortcuts={self.shortcuts.endpoints})"
+        self.indptr, self.indices, self.degrees = base.indptr, base.indices, base.degrees
+        if counts.any():
+            self.degrees = base.degrees + counts
+            self.indptr = base.indptr.copy()
+            np.cumsum(self.degrees, out=self.indptr[1:])
+            self.indices = np.insert(base.indices, np.repeat(base.indptr[1:], counts),
+                                     base.blue_ids[0])
+            for arr in (self.indptr, self.indices, self.degrees):
+                arr.setflags(write=False)
 
 
 def _check_edges(n, u, v):
@@ -335,8 +295,8 @@ def block_entries(graph, nodes):
 
 
 def augmented_view(instance, shortcuts=None) -> AugmentedView:
-    """Overlay ``shortcuts`` on ``instance``; the instance is never modified."""
-    return AugmentedView(instance, ShortcutSet.coerce(shortcuts))
+    """Walk overlay of ``shortcuts`` on ``instance``; see ``AugmentedView``."""
+    return AugmentedView(instance, shortcuts)
 
 
 def shortcut_counts(graph, shortcuts=None) -> np.ndarray:

@@ -246,10 +246,10 @@ def asym_k_center_fixed(qm: QuasiMetric, k: int) -> CenterSolution:
 def kcenter_shortcuts(instance, k: int):
     """Shortcut selection for the max objective via center placement.
 
-    Builds the quasi-metric, solves the fixed-center problem, then wires
-    every returned center to a blue node (the lowest-index one it is not
-    yet adjacent to).  A center already adjacent to every blue node stays
-    a center but contributes no edge, so the result has at most k edges.
+    Builds the quasi-metric, solves the fixed-center problem, then gives
+    every returned center one shortcut to the blue group.  A center already
+    adjacent to every blue node stays a center but contributes no edge, so
+    the result has at most k edges.
     Returns the shortcut set together with the center solution.
     """
     if k < 1:

@@ -76,7 +76,8 @@ def _check_monte_carlo(instance, profile, level):
         # 4 sigma: up to ~12 nodes are tested per run, so a 3-sigma gate
         # false-alarms on a few percent of healthy instances
         if abs(means[j] - exact) > 4.0 * se + 1e-9:
-            bad.append(f"node {u}: mc={means[j]:.4f} exact={exact:.4f} se={se:.4f}")
+            bad.append(f"node {instance.name_of(u)}: mc={means[j]:.4f} "
+                       f"exact={exact:.4f} se={se:.4f}")
     return _result("monte-carlo-agreement", not bad, "; ".join(bad))
 
 
@@ -86,10 +87,10 @@ def _objectives(instance, shortcuts):
     return profile.mean_time, profile.max_time
 
 
-def _check_monotone(instance, level):
+def _check_monotone(instance, profile, level):
     steps = 2 if level == "fast" else 4
     shortcuts = ShortcutSet()
-    g_prev, f_prev = _objectives(instance, shortcuts)
+    g_prev, f_prev = profile.mean_time, profile.max_time
     for _ in range(steps):
         cands = candidate_endpoints(instance, shortcuts)
         if not cands:
@@ -99,14 +100,15 @@ def _check_monotone(instance, level):
         if g_cur > g_prev + _PROP_TOL or f_cur > f_prev + _PROP_TOL:
             return _result(
                 "shortcut-monotonicity", False,
-                f"adding {cands[0]} raised g {g_prev:.6g}->{g_cur:.6g} "
+                f"adding {instance.name_of(cands[0])} "
+                f"raised g {g_prev:.6g}->{g_cur:.6g} "
                 f"or f {f_prev:.6g}->{f_cur:.6g}",
             )
         g_prev, f_prev = g_cur, f_cur
     return _result("shortcut-monotonicity", True, f"chain of {steps} additions")
 
 
-def _check_supermodular(instance, level):
+def _check_supermodular(instance, profile, level):
     if instance.n > 600:
         return _skip("supermodular-pairs", f"n={instance.n} exceeds the gate")
     cands = candidate_endpoints(instance, None)
@@ -120,8 +122,7 @@ def _check_supermodular(instance, level):
     if not pairs:
         return _skip("supermodular-pairs", "no feasible candidate pair")
 
-    red = np.asarray(instance.red_ids)
-    h_base = hitting_to_blue(instance).times
+    h_base = profile.times
     singles = {}
     for e in {e for pair in pairs for e in pair}:
         singles[e] = hitting_to_blue(
@@ -154,8 +155,10 @@ def _check_endpoint_invariance(instance, level):
         )
         values.append(_objectives(alt, None))
     ok = values[0] == values[1]
+    blues = ", ".join(instance.name_of(b) for b in free)
     return _result("endpoint-invariance", ok,
-                   f"red {target} to blue {free}: g/f {values[0]} vs {values[1]}")
+                   f"red {instance.name_of(target)} to blue [{blues}]: "
+                   f"g/f {values[0]} vs {values[1]}")
 
 
 def _check_triangle(instance, level):
@@ -174,20 +177,19 @@ def _check_triangle(instance, level):
                    f"{d.shape[0]} points incl. blue, worst slack {worst:.3g}")
 
 
-def _check_estimator_below(instance, level):
+def _check_estimator_below(instance, profile, level):
     mean_red_degree = float(instance.degrees[instance.red_ids].mean())
     lam = spectral_radius(instance)
     ell = truncation_length(mean_red_degree, 0.2, lam)
     if ell > 2000:
         return _skip("estimator-below", f"walk bound {ell} exceeds the gate")
-    h = hitting_to_blue(instance).times
     p1 = expected_bounded_steps(instance, None, ell)
-    gap = float((p1 - h).max())
+    gap = float((p1 - profile.times).max())
     return _result("estimator-below", gap <= 1e-9,
                    f"bounded mean under exact by >= {-gap:.3g}")
 
 
-def _check_estimator_coverage(instance, level):
+def _check_estimator_coverage(instance, profile, level):
     eps, delta = 0.2, 0.1
     mean_red_degree = float(instance.degrees[instance.red_ids].mean())
     lam = spectral_radius(instance)
@@ -199,7 +201,7 @@ def _check_estimator_coverage(instance, level):
     if cost > gate:
         return _skip("estimator-coverage",
                      f"estimated {cost:.2g} walk steps exceed the gate")
-    g_exact = evaluate(instance, None, "avg")
+    g_exact = profile.mean_time
     hits = 0
     for seed in range(seeds):
         cfg = EstimatorConfig(epsilon=eps, delta=delta, seed=seed, guarantee=True)
@@ -221,7 +223,7 @@ def _check_candidate_shrink(instance, level):
                    f"{len(before)} -> {len(after)} candidates")
 
 
-def _check_roundtrip(instance, level):
+def _check_roundtrip(instance, profile, level):
     edges = list(instance.to_edge_lines())
     partition = list(instance.to_partition_lines())
     reloaded = load_instance(edges, partition)
@@ -232,13 +234,17 @@ def _check_roundtrip(instance, level):
         and sorted(reloaded.degrees) == sorted(instance.degrees)
     )
     if ok:
-        ok = abs(evaluate(reloaded, None, "avg")
-                 - evaluate(instance, None, "avg")) <= 1e-9
+        ok = abs(evaluate(reloaded, None, "avg") - profile.mean_time) <= 1e-9
     return _result("serialization-roundtrip", ok)
 
 
 def run_checks(instance, level: str = "fast"):
-    """Run every applicable property check and return the results."""
+    """Run every applicable property check and return the results.
+
+    The base instance is solved once, by the profile check; the checks
+    that need its times read that profile.  Details name nodes as the
+    instance does (``name_of``).
+    """
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     profile_result, profile = _check_profile(instance)
@@ -248,14 +254,14 @@ def run_checks(instance, level: str = "fast"):
 
     checks = [
         lambda: _check_monte_carlo(instance, profile, level),
-        lambda: _check_monotone(instance, level),
-        lambda: _check_supermodular(instance, level),
+        lambda: _check_monotone(instance, profile, level),
+        lambda: _check_supermodular(instance, profile, level),
         lambda: _check_endpoint_invariance(instance, level),
         lambda: _check_triangle(instance, level),
-        lambda: _check_estimator_below(instance, level),
-        lambda: _check_estimator_coverage(instance, level),
+        lambda: _check_estimator_below(instance, profile, level),
+        lambda: _check_estimator_coverage(instance, profile, level),
         lambda: _check_candidate_shrink(instance, level),
-        lambda: _check_roundtrip(instance, level),
+        lambda: _check_roundtrip(instance, profile, level),
     ]
     for check in checks:
         try:

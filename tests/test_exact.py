@@ -13,7 +13,6 @@ from hitmin import (
     InvalidParameter,
     ShortcutSet,
     SolverFailure,
-    augmented_view,
     build_quasi_metric,
     candidate_endpoints,
     evaluate,
@@ -24,6 +23,7 @@ from hitmin import (
     hitting_to_target,
 )
 from hitmin.exact import DENSE_NODE_LIMIT, _transient_times
+from hitmin.graph import shortcut_counts
 
 
 def test_path5_hand_solved_times(path5):
@@ -148,9 +148,11 @@ def _loop_matrix(graph, transient):
 
 def test_transient_matrix_matches_row_loop(monkeypatch):
     inst = gen_planted_two_community(6, 6, 0.5, 0.2, 3)
-    r = max(candidate_endpoints(inst),
-            key=lambda v: inst.blue_count - inst.blue_degree[v])
-    graph = augmented_view(inst, ShortcutSet((r, r)))
+    r = max(candidate_endpoints(inst), key=lambda v: inst.capacity[v])
+    # the augmented graph written out: two shortcut edges at r
+    free = np.setdiff1d(inst.blue_ids, inst.neighbors(r))[:2]
+    graph = BipartiteInstance(
+        inst.n, list(inst.iter_edges()) + [(r, int(b)) for b in free], inst.is_red)
     seen = []
     dense, sparse = scipy.linalg.lu_factor, scipy.sparse.linalg.splu
     monkeypatch.setattr(scipy.linalg, "lu_factor",
@@ -162,6 +164,12 @@ def test_transient_matrix_matches_row_loop(monkeypatch):
             seen.clear()
             _transient_times(graph, transient, dense_limit)
             np.testing.assert_array_equal(seen[0], _loop_matrix(graph, transient))
+    # the counts form of the same red block, on the base graph
+    degrees = inst.degrees + shortcut_counts(inst, (r, r))
+    for dense_limit in (DENSE_NODE_LIMIT, 0):
+        seen.clear()
+        _transient_times(inst, inst.red_ids, dense_limit, degrees)
+        np.testing.assert_array_equal(seen[0], _loop_matrix(graph, graph.red_ids))
 
 
 def _tree_plus(m, extra, parts=1, seed=0):
@@ -222,7 +230,7 @@ def test_solver_path_is_picked_by_unknowns(monkeypatch):
             assert seen == factors
 
     # the re-routed lollipop agrees with a dense solve of the row-loop matrix
-    graph = augmented_view(gen_lollipop(1000, 10))
+    graph = gen_lollipop(1000, 10)
     exact = np.linalg.solve(_loop_matrix(graph, graph.red_ids), np.ones(1009))
     np.testing.assert_allclose(hitting_to_blue(graph).times, exact, rtol=1e-12, atol=0)
 
@@ -237,23 +245,25 @@ def test_solver_failure_names_the_path(monkeypatch, dense_limit, path):
         hitting_to_blue(inst, dense_limit=dense_limit)
 
 
+def _sha1(times):
+    return hashlib.sha1(times.tobytes()).hexdigest()
+
+
 # SHA-1 of times.tobytes(), recorded while every solve still built an overlay
 @pytest.mark.parametrize("make, shortcuts, digest", [
     (lambda: gen_planted_two_community(30, 30, 0.2, 0.05, 7), (3, 11, 11, 24),
      "fc7534c0754c4e173ea7b0d8356defc0eef17271"),
-    (lambda: gen_lollipop(400, 30), (50, 200, 399, 420),
-     "12ef2e23d093e3b8bbcaa400c14f472bcf6540e4"),
 ])
 def test_shortcut_times_are_pinned(make, shortcuts, digest):
-    times = hitting_to_blue(make(), ShortcutSet(shortcuts)).times
-    assert hashlib.sha1(times.tobytes()).hexdigest() == digest
+    assert _sha1(hitting_to_blue(make(), ShortcutSet(shortcuts)).times) == digest
 
 
-def test_view_takes_more_shortcuts():
-    inst = gen_planted_two_community(30, 30, 0.2, 0.05, 7)
-    first, second = (3, 11), (11, 24, 24)
-    stacked = hitting_to_blue(augmented_view(inst, first), ShortcutSet(second))
-    once = hitting_to_blue(inst, ShortcutSet(first + second))
-    assert stacked.times.tobytes() == once.times.tobytes()
-    assert (hitting_to_blue(augmented_view(inst, first + second)).times.tobytes()
-            == once.times.tobytes())
+def test_lollipop_shortcut_times_are_pinned_on_the_sparse_path():
+    # the 429-unknown block takes dense LU by default, whose bits vary with
+    # the BLAS thread count; the sparse path's bits do not
+    inst, shortcuts = gen_lollipop(400, 30), ShortcutSet((50, 200, 399, 420))
+    sparse = hitting_to_blue(inst, shortcuts, dense_limit=0).times
+    assert _sha1(sparse) == "a6fafcb918e6f6b5d217410741a034980266a2ae"
+    dense = hitting_to_blue(inst, shortcuts).times
+    assert dense.tobytes() == hitting_to_blue(inst, shortcuts).times.tobytes()
+    np.testing.assert_allclose(dense, sparse, rtol=1e-12, atol=0)

@@ -1,10 +1,15 @@
 """Self-check suite plumbing."""
 
+import re
+
+import numpy as np
 import pytest
 
-from hitmin import (SolverFailure, gen_planted_two_community, has_failure,
+import hitmin.verify
+from hitmin import (SolverFailure, candidate_endpoints,
+                    gen_planted_two_community, has_failure, load_instance,
                     run_checks, summarize)
-from hitmin.cli import main
+from hitmin.cli import main, parse_gen_spec
 
 
 def test_path5_fast_checks_pass(path5):
@@ -42,8 +47,6 @@ def test_summary_formatting(path5):
 @pytest.mark.parametrize("error", [SolverFailure("residual too large"),
                                    AssertionError("ratio bound violated")])
 def test_failed_solve_is_a_fail_line(monkeypatch, capsys, path5, error):
-    import hitmin.verify
-
     def failing(*args, **kwargs):
         raise error
 
@@ -55,3 +58,42 @@ def test_failed_solve_is_a_fail_line(monkeypatch, capsys, path5, error):
     out = capsys.readouterr()
     assert "[FAIL] hitting-profile" in out.out
     assert "error:" not in out.err
+
+
+def test_details_name_nodes_as_the_files_do(monkeypatch, tmp_path, capsys):
+    # loading numbers the file's names by first appearance: the blue nodes
+    # named "11" and "6" get indices 7 and 9
+    spec = "planted;n_red=6;n_blue=6;p_in=0.5;p_out=0.2;seed=3"
+    prefix = str(tmp_path / "planted")
+    assert main(["gen", "--spec", spec, "--out-prefix", prefix]) == 0
+    edges, partition = prefix + ".edges", prefix + ".partition"
+    assert main(["verify", "--edges", edges, "--partition", partition]) == 0
+    assert "[PASS] endpoint-invariance: red 0 to blue [11, 6]: " in capsys.readouterr().out
+    # a generated instance has no names and prints its indices
+    detail = {r.name: r.detail for r in run_checks(parse_gen_spec(spec, None))}
+    assert detail["endpoint-invariance"].startswith("red 0 to blue [6, 7]: ")
+
+    # force the Monte Carlo and monotonicity failure lines
+    inst = load_instance(edges, partition)
+    picked = []
+
+    def far_off(instance, picks, trials, seed):
+        picked.extend(picks)
+        return np.full(len(picks), 1e6), np.ones(len(picks))
+
+    def last_first(instance, shortcuts):
+        return candidate_endpoints(instance, shortcuts)[::-1]
+
+    # every objective after a shortcut above the base instance's
+    rising = iter(range(100, 200))
+    monkeypatch.setattr(hitmin.verify, "empirical_hitting", far_off)
+    monkeypatch.setattr(hitmin.verify, "candidate_endpoints", last_first)
+    monkeypatch.setattr(hitmin.verify, "_objectives",
+                        lambda instance, shortcuts: (next(rising),) * 2)
+    detail = {r.name: r.detail for r in run_checks(inst)}
+    names = [inst.name_of(u) for u in picked]
+    assert names != [str(u) for u in picked]
+    assert re.findall(r"node (\w+): mc=", detail["monte-carlo-agreement"]) == names
+    last = candidate_endpoints(inst)[-1]
+    assert inst.name_of(last) != str(last)
+    assert detail["shortcut-monotonicity"].startswith(f"adding {inst.name_of(last)} raised")
