@@ -300,20 +300,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON value each `run` config key takes, as its flag would parse it: a
+# type, or a one-element list for a list of that type, which a comma string
+# also gives.  Keys whose flag defaults to None also take null.
+_CONFIG_KINDS = {
+    "edges": str, "partition": str, "gen": str, "config": str, "output": str,
+    "algorithms": [str], "fractions": [float], "reps": int, "seed": int,
+    "epsilon": float, "delta": float, "spectral_bound": float,
+    "subsample": float, "guarantee": bool,
+}
+_CONFIG_NULLABLE = {"edges", "partition", "gen", "config", "seed", "spectral_bound"}
+
+
+def _is_kind(value, kind):
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 def _apply_config_file(args):
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
-        overrides = json.load(fh)
+        try:
+            overrides = json.load(fh)
+        except ValueError as exc:
+            raise InvalidParameter(
+                f"config file {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise InvalidParameter("config file must hold a JSON object")
     for key, value in overrides.items():
-        if not hasattr(args, key):
+        if key not in _CONFIG_KINDS:
             raise InvalidParameter(f"unknown config key {key!r}")
-        if key == "algorithms" and isinstance(value, str):
-            value = _comma_list(str)(value)
-        if key == "fractions" and isinstance(value, str):
-            value = _comma_list(float)(value)
+        kind = _CONFIG_KINDS[key]
+        if isinstance(kind, list):
+            if isinstance(value, str):
+                try:
+                    value = _comma_list(kind[0])(value)
+                except ValueError as exc:
+                    raise InvalidParameter(f"config key {key!r}: {exc}") from exc
+            ok = isinstance(value, list) and all(_is_kind(v, kind[0]) for v in value)
+            expected = f"a list of {kind[0].__name__} or a comma string"
+        else:
+            ok = _is_kind(value, kind) or (value is None and key in _CONFIG_NULLABLE)
+            expected = kind.__name__
+        if not ok:
+            raise InvalidParameter(
+                f"config key {key!r} must be {expected}, got {value!r}")
         setattr(args, key, value)
 
 

@@ -124,6 +124,10 @@ def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
     ``hitting_to_target`` and counted in ``fallback_columns``.  The blue-point
     row holds the worst blue starting node; the blue-point column comes
     from one ``hitting_to_blue`` solve.
+
+    ``dense_limit`` picks dense or sparse LU for the grounded factor and for
+    the direct path of those two solvers.  It picks nothing for their CG
+    path, which serves a large cycle-rich block first.
     """
     red_ids = np.asarray(instance.red_ids)
     r = len(red_ids)

@@ -161,6 +161,23 @@ def test_config_file_overrides_flags(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"reps": 3,', "is not valid JSON"),
+    ('{"reps": "3"}', "config key 'reps' must be int, got '3'"),
+    ('{"epsilon": true}', "config key 'epsilon' must be float, got True"),
+    ('{"fractions": "0.5,x"}', "config key 'fractions': could not convert"),
+    ('{"algorithms": ["greedy", 1]}', "config key 'algorithms' must be a list of str"),
+])
+def test_bad_config_file_is_a_clean_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = main(["run", "--gen", "path;length=5;blue=2", "--seed", "1",
+               "--config", str(cfg), "--output", str(tmp_path / "cfg.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_verify_verb(tmp_path, capsys):
     assert main(["verify", "--gen", "path;length=5;blue=2", "--level", "fast"]) == 0
     assert "[PASS]" in capsys.readouterr().out

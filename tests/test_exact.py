@@ -22,7 +22,8 @@ from hitmin import (
     hitting_to_blue,
     hitting_to_target,
 )
-from hitmin.exact import DENSE_NODE_LIMIT, _transient_times
+from hitmin import exact
+from hitmin.exact import CG_MIN_NODES, DENSE_NODE_LIMIT, _transient_times
 from hitmin.graph import shortcut_counts
 
 
@@ -192,9 +193,17 @@ def _tree_plus(m, extra, parts=1, seed=0):
     return BipartiteInstance(m + 1, edges, [v != 0 for v in range(m + 1)])
 
 
+def _direct(monkeypatch, call):
+    # the same call with the CG path switched off
+    with monkeypatch.context() as patched:
+        patched.setattr(exact, "CG_MIN_NODES", np.inf)
+        return call()
+
+
 def test_solver_path_is_picked_by_unknowns(monkeypatch):
-    # dense LU up to dense_limit unknowns, whatever the node count, and only
-    # for a block whose cycle rank exceeds an eighth of its unknowns
+    # CG for a cycle-rich block of at least CG_MIN_NODES unknowns; else dense
+    # LU up to dense_limit unknowns, whatever the node count, and only for a
+    # block whose cycle rank exceeds an eighth of its unknowns
     inst = gen_planted_two_community(6, 8, 0.5, 0.2, 3)
     n, r = inst.n, inst.red_count
     seen = []
@@ -206,6 +215,8 @@ def test_solver_path_is_picked_by_unknowns(monkeypatch):
 
     def blue_times(instance):
         return lambda limit: hitting_to_blue(instance, dense_limit=limit)
+
+    planted = gen_planted_two_community(CG_MIN_NODES, 100, 0.05, 0.02, 4)
 
     cases = [
         (blue_times(inst), {r: [("dense", r)], r - 1: [("sparse", r)]}),
@@ -222,6 +233,11 @@ def test_solver_path_is_picked_by_unknowns(monkeypatch):
         # rank 6 only once the second component is counted
         (blue_times(_tree_plus(40, 6, parts=2)), {40: [("dense", 40)]}),
         (blue_times(_tree_plus(40, 5, parts=2)), {40: [("sparse", 40)]}),
+        # cycle-rich planted blocks: CG from CG_MIN_NODES unknowns, whatever
+        # dense_limit says, and dense LU one unknown below
+        (blue_times(planted), {DENSE_NODE_LIMIT: [], 0: []}),
+        (blue_times(gen_planted_two_community(CG_MIN_NODES - 1, 100, 0.05, 0.02, 4)),
+         {DENSE_NODE_LIMIT: [("dense", CG_MIN_NODES - 1)]}),
     ]
     for call, expected in cases:
         for limit, factors in expected.items():
@@ -231,8 +247,39 @@ def test_solver_path_is_picked_by_unknowns(monkeypatch):
 
     # the re-routed lollipop agrees with a dense solve of the row-loop matrix
     graph = gen_lollipop(1000, 10)
-    exact = np.linalg.solve(_loop_matrix(graph, graph.red_ids), np.ones(1009))
-    np.testing.assert_allclose(hitting_to_blue(graph).times, exact, rtol=1e-12, atol=0)
+    solved = np.linalg.solve(_loop_matrix(graph, graph.red_ids), np.ones(1009))
+    np.testing.assert_allclose(hitting_to_blue(graph).times, solved, rtol=1e-12, atol=0)
+
+    # the CG block agrees with a forced direct solve, which is dense LU
+    seen.clear()
+    direct = _direct(monkeypatch, lambda: hitting_to_blue(planted).times)
+    assert seen == [("dense", CG_MIN_NODES)]
+    np.testing.assert_allclose(hitting_to_blue(planted).times, direct,
+                               rtol=1e-12, atol=0)
+
+
+def test_cg_miss_falls_back_to_the_direct_path(monkeypatch):
+    misses = []
+    cg = exact._cg_times
+
+    def spy(*args):
+        h = cg(*args)
+        misses.append(h is None)
+        return h
+
+    monkeypatch.setattr(exact, "_cg_times", spy)
+    # 549 cycle-rich unknowns: CG reaches its cap, dense LU passes the gate
+    inst = gen_lollipop(520, 30)
+    times = hitting_to_blue(inst).times
+    assert misses == [True]
+    assert times.tobytes() == _direct(monkeypatch,
+                                      lambda: hitting_to_blue(inst).times).tobytes()
+    # both paths miss: the failure names the direct path and its size
+    misses.clear()
+    with pytest.raises(SolverFailure,
+                       match=r"after refinement \(dense LU, 559 unknowns\)$"):
+        hitting_to_blue(gen_lollipop(500, 60))
+    assert misses == [True]
 
 
 @pytest.mark.parametrize("dense_limit, path", [(DENSE_NODE_LIMIT, "dense LU"),
@@ -256,6 +303,17 @@ def _sha1(times):
 ])
 def test_shortcut_times_are_pinned(make, shortcuts, digest):
     assert _sha1(hitting_to_blue(make(), ShortcutSet(shortcuts)).times) == digest
+
+
+def test_cg_times_are_pinned(monkeypatch):
+    # the CG path's bits do not depend on the BLAS thread count: its sums are
+    # NumPy's and its products scipy's serial sparse ones
+    def no_factor(*args):
+        raise AssertionError("a 600-unknown planted block should not be factored")
+    monkeypatch.setattr(scipy.linalg, "lu_factor", no_factor)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_factor)
+    times = hitting_to_blue(gen_planted_two_community(600, 600, 0.05, 0.01, 5)).times
+    assert _sha1(times) == "b839a8a600d4b775a990912f5595a8cdf87fc852"
 
 
 def test_lollipop_shortcut_times_are_pinned_on_the_sparse_path():
