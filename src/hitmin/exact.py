@@ -28,10 +28,12 @@ any transient set from the graph's CSR slices (``graph.block_entries``) with
 no loop over nodes and factors it.  Dense LU serves a block of at most
 ``dense_limit`` unknowns whose induced graph has many independent cycles;
 every other block, near-forests of any size included, goes to sparse LU.
-The quasi-metric shares it.  ``_transient_times`` accepts a direct solution
-only when its residual, after at most one refinement pass with the same
-factor, is within ``RESIDUAL_TOL``, and names the direct path and the size
-when it raises.
+The dense block is built in Fortran order and factored in place; its
+residuals read Q's nonzeros.  The quasi-metric and the exact greedy's
+candidate scores (``_shortcut_means``) share the builder.
+``_transient_times`` accepts a direct solution only when its residual,
+after at most one refinement pass with the same factor, is within
+``RESIDUAL_TOL``, and names the direct path and the size when it raises.
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ CG_MIN_NODES = 500
 # milliseconds and goes to the direct path.
 CG_TOL = 1e-12
 CG_MAX_ITERATIONS = 100
+# Right-hand sides solved together when many columns of one factor are
+# needed (the quasi-metric's targets, the inverse's diagonal): caps the
+# working set at a few m x SOLVE_BLOCK arrays instead of m x m.
+SOLVE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -132,12 +138,14 @@ def _has_many_cycles(rows, cols, m):
 
 
 def _factored(graph, nodes, dense_limit, degrees=None):
-    """Assemble I - Q on ``nodes`` and factor it.  Returns (A, solve).
+    """Assemble I - Q on ``nodes`` and factor it.
 
-    Row v is scaled by 1/``degrees[v]``, the graph's own degrees by default.
-    Dense LU when the block has at most ``dense_limit`` unknowns and its
-    cycle rank exceeds ``DENSE_MIN_CYCLE_SHARE`` of them; sparse LU
-    otherwise, which on a near-forest fills in almost nothing.
+    Returns (multiply, solve, path): x -> (I - Q) x for residuals, the
+    factor's solve, and "dense LU" or "sparse LU".  Row v is scaled by
+    1/``degrees[v]``, the graph's own degrees by default.  Dense LU when the
+    block has at most ``dense_limit`` unknowns and its cycle rank exceeds
+    ``DENSE_MIN_CYCLE_SHARE`` of them; sparse LU otherwise, which on a
+    near-forest fills in almost nothing.
     """
     m = nodes.size
     if degrees is None:
@@ -146,10 +154,16 @@ def _factored(graph, nodes, dense_limit, degrees=None):
     weights = (1.0 / degrees[nodes])[rows]
 
     if m <= dense_limit and _has_many_cycles(rows, cols, m):
-        A = np.eye(m)
-        A[rows, cols] = -weights
-        lu = scipy.linalg.lu_factor(A)
-        return A, lambda rhs: scipy.linalg.lu_solve(lu, rhs)
+        # Fortran order lets lu_factor work in place; it copies a C-ordered
+        # array
+        dense = np.eye(m, order="F")
+        dense[rows, cols] = -weights
+        lu = scipy.linalg.lu_factor(dense, overwrite_a=True)
+        # residuals read Q's nonzeros, in CSR straight from the ascending rows
+        Q = scipy.sparse.csr_matrix(
+            (weights, cols, np.searchsorted(rows, np.arange(m + 1))), shape=(m, m))
+        return (lambda x: x - Q @ x,
+                lambda rhs: scipy.linalg.lu_solve(lu, rhs), "dense LU")
 
     diag = np.arange(m)
     A = scipy.sparse.csc_matrix(
@@ -161,7 +175,7 @@ def _factored(graph, nodes, dense_limit, degrees=None):
         factor = scipy.sparse.linalg.splu(A)
     except RuntimeError as exc:
         raise SolverFailure(f"sparse factorization failed: {exc}") from exc
-    return A, factor.solve
+    return (lambda x: A @ x), factor.solve, "sparse LU"
 
 
 def _cg_times(rows, cols, d):
@@ -205,14 +219,13 @@ def _transient_times(graph, transient, dense_limit, degrees=None):
             h = _cg_times(rows, cols, degrees[transient].astype(float))
             if h is not None:
                 return h
-    A, solve = _factored(graph, transient, dense_limit, degrees)
-    path = "sparse LU" if scipy.sparse.issparse(A) else "dense LU"
+    multiply, solve, path = _factored(graph, transient, dense_limit, degrees)
     b = np.ones(transient.size)
     h = solve(b)
-    residual = b - A @ h
+    residual = b - multiply(h)
     if np.abs(residual).max() > RESIDUAL_TOL:
         h = h + solve(residual)
-        residual = b - A @ h
+        residual = b - multiply(h)
     worst = float(np.abs(residual).max())
     if worst > RESIDUAL_TOL:
         raise SolverFailure(
@@ -220,6 +233,43 @@ def _transient_times(graph, transient, dense_limit, degrees=None):
             f"({path}, {transient.size} unknowns)"
         )
     return h
+
+
+def _inverse_diagonal(solve, m):
+    """Diagonal of the inverse of an m x m factored matrix, from solves of
+    identity columns ``SOLVE_BLOCK`` at a time."""
+    out = np.empty(m)
+    for lo in range(0, m, SOLVE_BLOCK):
+        cols = np.arange(lo, min(lo + SOLVE_BLOCK, m))
+        rhs = np.zeros((m, cols.size))
+        rhs[cols, cols - lo] = 1.0
+        out[cols] = solve(rhs)[cols, cols - lo]
+    return out
+
+
+def _shortcut_means(instance, shortcuts, candidates):
+    """Mean hitting time after one more shortcut at each red candidate, every
+    candidate scored from one factorization of I - Q under ``shortcuts``.
+
+    A shortcut at r adds 1 to d_r: it adds e_r e_r^T to the symmetric form
+    S = D - A and e_r to its right-hand side d.  With M = (I - Q)^-1 = S^-1 D,
+    h = M 1, s = M (1/d) = S^-1 1 and (S^-1)_rr = M_rr / d_r, Sherman and
+    Morrison's formula gives
+
+        sum h' = sum h - s_r (h_r - 1) / (1 + M_rr / d_r).
+
+    The scores carry the factor's rounding and no residual gate; callers
+    that need exact values solve again.
+    """
+    reds = instance.red_ids
+    degrees = instance.degrees + shortcut_counts(instance, shortcuts)
+    _, solve, _ = _factored(instance, reds, DENSE_NODE_LIMIT, degrees)
+    d = degrees[reds].astype(float)
+    h, s = solve(np.column_stack((np.ones(reds.size), 1.0 / d))).T
+    pos = np.searchsorted(reds, candidates)
+    diagonal = _inverse_diagonal(solve, reds.size)[pos]
+    gains = s[pos] * (h[pos] - 1.0) / (1.0 + diagonal / d[pos])
+    return (h.sum() - gains) / reds.size
 
 
 def hitting_to_blue(instance, shortcuts=None, dense_limit=DENSE_NODE_LIMIT) -> HittingProfile:

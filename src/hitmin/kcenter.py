@@ -25,8 +25,8 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InstanceTooLarge, InvalidParameter
-from .exact import (DENSE_NODE_LIMIT, RESIDUAL_TOL, _factored, hitting_to_blue,
-                    hitting_to_target)
+from .exact import (DENSE_NODE_LIMIT, RESIDUAL_TOL, SOLVE_BLOCK, _factored,
+                    hitting_to_blue, hitting_to_target)
 from .graph import ShortcutSet
 from .optimize import GreedyTrace, brute_force_opt, greedy_exact, greedy_plus
 
@@ -47,10 +47,6 @@ MAX_DENSE_RED = 5000
 
 # sentinel for the synthetic point standing in for the blue group
 BLUE_POINT = "b"
-
-# red targets solved together; caps the quasi-metric build's working set at
-# a few n x QM_BLOCK arrays instead of n x |R|
-QM_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -114,9 +110,9 @@ def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
     grounded at the highest-degree node g (its row and column removed, its
     value fixed at 0): (I - P)_g x = 1 - (2m / d_v) e_v, the absorbing-chain
     system with g absorbing, built and factored once by ``exact._factored``.
-    The red targets' right-hand sides are solved QM_BLOCK columns at a time,
-    with one refinement pass on the same factor, and each column is shifted
-    so h_v = 0.
+    The red targets' right-hand sides are solved ``SOLVE_BLOCK`` columns at a
+    time, with one refinement pass on the same factor, and each column is
+    shifted so h_v = 0.
 
     Each column must then pass the absorbing-chain residual gate
     |(I - P) h - 1| <= RESIDUAL_TOL on every node but v, as the direct
@@ -150,13 +146,13 @@ def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
     # that node's degree; grounded at a degree-1 node (a lollipop's blue
     # head), most columns missed the gate
     ground = int(np.argmax(instance.degrees))
-    grounded, solve = _factored(instance, np.delete(np.arange(n), ground),
-                                dense_limit)
+    multiply, solve, _ = _factored(instance, np.delete(np.arange(n), ground),
+                                   dense_limit)
 
     fallbacks = 0
-    for lo in range(0, r, QM_BLOCK):
-        targets = red_ids[lo:lo + QM_BLOCK]
-        h = _target_columns(solve, grounded, ground, deg, targets)
+    for lo in range(0, r, SOLVE_BLOCK):
+        targets = red_ids[lo:lo + SOLVE_BLOCK]
+        h = _target_columns(solve, multiply, ground, deg, targets)
         gate = adjacency @ h
         gate /= deg[:, None]
         gate -= h
@@ -170,7 +166,7 @@ def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
     return QuasiMetric(red_ids=red_ids, table=table, fallback_columns=fallbacks)
 
 
-def _target_columns(solve, grounded, ground, deg, targets):
+def _target_columns(solve, multiply, ground, deg, targets):
     """Hitting times from every node to each target, one column per target.
 
     Solves the row-scaled grounded system for the right-hand sides
@@ -184,7 +180,7 @@ def _target_columns(solve, grounded, ground, deg, targets):
     rhs = np.ones((deg.size - 1, targets.size))
     rhs[rows[kept], cols[kept]] -= deg.sum() / deg[targets[kept]]
     x = solve(rhs)
-    rhs -= grounded @ x
+    rhs -= multiply(x)
     x += solve(rhs)
     h = np.insert(x, ground, 0.0, axis=0)
     h -= h[targets, cols]

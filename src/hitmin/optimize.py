@@ -1,15 +1,19 @@
 """Budgeted shortcut selection: greedy variants, brute force, baselines.
 
-The mean objective is supermodular in the shortcut multiset, so stale
-greedy marginals are valid upper bounds and a lazy priority queue returns
-exactly the eager result while evaluating fewer candidates.  With sampled
-evaluation that bound argument no longer holds, so the sampled greedy
-scores every candidate in every iteration.
+Both greedy variants score every candidate in every iteration and keep the
+first strict minimum, so ties break toward the lowest node index.  The
+exact greedy scores all candidates from one factorization per iteration: a
+shortcut at red r changes only row r of the red block, so a rank-one
+(Sherman-Morrison) update gives every candidate's mean at once.  Exact
+solves then settle the candidates within a relative tie band of the lowest
+score and fix the winner's value, and an iteration whose winner's score
+misses its exact value by more than a quarter of the band falls back to
+scoring every candidate exactly.  The sampled greedy measures every
+candidate with the estimator.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 import warnings
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import InstanceTooLarge, InvalidParameter
 from .estimator import EstimatorConfig, estimate_mean_hitting
-from .exact import evaluate, hitting_to_blue
+from .exact import _shortcut_means, evaluate, hitting_to_blue
 from .graph import ShortcutSet, candidate_endpoints
 
 __all__ = [
@@ -36,6 +40,9 @@ __all__ = [
 
 # A best marginal decrease at or below this is treated as "no improvement".
 _MARGINAL_FLOOR = 1e-12
+# Exact-greedy candidates whose rank-one scores lie within this relative
+# distance of the lowest score are settled by exact solves.
+_TIE_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,7 @@ class TraceEntry:
     value: float
     evaluations: int
     wall_ms: float
+    solves: int
 
 
 @dataclass
@@ -52,7 +60,11 @@ class GreedyTrace:
 
     ``value`` is the objective the algorithm itself saw after inserting the
     endpoint: exact means for the exact variant, estimates for the sampled
-    one.  Evaluation and wall-time counters are cumulative.
+    one.  The counters are cumulative: ``evaluations`` counts candidates
+    scored (one per candidate per iteration, plus the exact variant's base
+    value), ``solves`` the exact solves made (the base value, tie settles,
+    winner re-scores and fallback scans; 0 for the sampled variant), and
+    ``wall_ms`` the time since the run started.
     """
 
     mode: str
@@ -70,6 +82,10 @@ class GreedyTrace:
     @property
     def evaluations(self) -> int:
         return self.entries[-1].evaluations if self.entries else 0
+
+    @property
+    def solves(self) -> int:
+        return self.entries[-1].solves if self.entries else 0
 
 
 def iteration_budget(k: int, n: int, epsilon: float, estimated: bool = False) -> int:
@@ -137,55 +153,54 @@ def greedy_plus(instance, k: int, epsilon: float = 0.1,
 def _greedy_loop(instance, tau, measure, trace, exact):
     """Greedy insertion shared by both variants.
 
-    The exact greedy is lazy; the sampled greedy scores every candidate in
-    every iteration and keeps the first strict minimum.
+    Each iteration keeps the first strict minimum over the candidates in
+    ascending order.  The sampled greedy measures every candidate.  The
+    exact greedy scores every candidate with ``_shortcut_means`` and
+    measures, by exact solves, only those whose scores lie within
+    ``_TIE_BAND`` (relative) of the lowest; the winner's value is always its
+    exact one.  If all scores are within a quarter of the band of the exact
+    values, a candidate outside the band cannot beat or tie the winner.  The
+    winner's own error stands in for that: when it exceeds a quarter of the
+    band, the iteration measures every candidate, as the sampled greedy does.
     """
     start = time.perf_counter()
     selected = ShortcutSet()
-    evals = 0
+    evals = solves = 0
     if exact:
         current = measure(selected, instance.n, 0)
-        evals += 1
-        # lazy queue of (-marginal, endpoint, stamp, value); an entry may only
-        # win after being refreshed at the current iteration, which reproduces
-        # the eager argmin with the same lowest-index tie-break
-        heap = [(-math.inf, r, -1, math.inf)
-                for r in candidate_endpoints(instance, selected)]
-        heapq.heapify(heap)
+        evals = solves = 1
+
+    def first_minimum(endpoints, iteration):
+        best = best_value = None
+        for r in endpoints:
+            value = measure(selected.with_added(r), r, iteration)
+            if best_value is None or value < best_value:
+                best, best_value = r, value
+        return best, best_value
 
     for i in range(tau):
         cands = candidate_endpoints(instance, selected)
         if not cands:
             break
 
-        best = None
-        best_value = None
+        evals += len(cands)
         if exact:
-            cand_set = set(cands)
-            while heap:
-                neg_delta, r, stamp, value = heapq.heappop(heap)
-                if r not in cand_set:
-                    continue
-                if stamp == i:
-                    best, best_value = r, value
-                    break
-                value = measure(selected.with_added(r), r, i)
-                evals += 1
-                heapq.heappush(heap, (-(current - value), r, i, value))
-            if best is None or current - best_value <= _MARGINAL_FLOOR:
+            scores = _shortcut_means(instance, selected, cands)
+            low = scores.min()
+            band = _TIE_BAND * low
+            near = [r for r, score in zip(cands, scores) if score - low <= band]
+            best, best_value = first_minimum(near, i)
+            solves += len(near)
+            # the negated test falls back on NaN scores too
+            if best is None or not (abs(scores[cands.index(best)] - best_value)
+                                    <= band / 4):
+                best, best_value = first_minimum(cands, i)
+                solves += len(cands)
+            if current - best_value <= _MARGINAL_FLOOR:
                 break
-            # the winner's fresh marginal stays a valid upper bound for the
-            # next iteration under supermodularity
-            heapq.heappush(heap, (-(current - best_value), best, i, best_value))
             current = best_value
         else:
-            for r in cands:
-                value = measure(selected.with_added(r), r, i)
-                evals += 1
-                # exact comparison, not floor-banded: the same raw-float
-                # order the lazy queue applies
-                if best_value is None or value < best_value:
-                    best, best_value = r, value
+            best, best_value = first_minimum(cands, i)
 
         selected = selected.with_added(best)
         trace.entries.append(TraceEntry(
@@ -193,6 +208,7 @@ def _greedy_loop(instance, tau, measure, trace, exact):
             value=float(best_value),
             evaluations=evals,
             wall_ms=(time.perf_counter() - start) * 1000.0,
+            solves=solves,
         ))
     return selected
 

@@ -157,7 +157,7 @@ def test_transient_matrix_matches_row_loop(monkeypatch):
     seen = []
     dense, sparse = scipy.linalg.lu_factor, scipy.sparse.linalg.splu
     monkeypatch.setattr(scipy.linalg, "lu_factor",
-                        lambda a: (seen.append(a.copy()), dense(a))[1])
+                        lambda a, **kw: (seen.append(a.copy()), dense(a, **kw))[1])
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda a: (seen.append(a.toarray()), sparse(a))[1])
     for transient in (graph.red_ids, np.delete(np.arange(graph.n), r)):
@@ -209,7 +209,8 @@ def test_solver_path_is_picked_by_unknowns(monkeypatch):
     seen = []
     dense, sparse = scipy.linalg.lu_factor, scipy.sparse.linalg.splu
     monkeypatch.setattr(scipy.linalg, "lu_factor",
-                        lambda a: (seen.append(("dense", a.shape[0])), dense(a))[1])
+                        lambda a, **kw: (seen.append(("dense", a.shape[0])),
+                                         dense(a, **kw))[1])
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda a: (seen.append(("sparse", a.shape[0])), sparse(a))[1])
 
@@ -290,6 +291,26 @@ def test_solver_failure_names_the_path(monkeypatch, dense_limit, path):
     with pytest.raises(SolverFailure,
                        match=rf"after refinement \({path}, 30 unknowns\)$"):
         hitting_to_blue(inst, dense_limit=dense_limit)
+
+
+@pytest.mark.parametrize("dense_limit", [DENSE_NODE_LIMIT, 0])
+def test_inverse_diagonal_is_solved_in_blocks(monkeypatch, dense_limit):
+    # 20 unknowns, blocks of 7: the last block is short
+    monkeypatch.setattr(exact, "SOLVE_BLOCK", 7)
+    inst = gen_planted_two_community(20, 10, 0.4, 0.1, 2)
+    multiply, solve, _ = exact._factored(inst, inst.red_ids, dense_limit)
+    inverse = np.linalg.inv(multiply(np.eye(20)))
+    np.testing.assert_allclose(exact._inverse_diagonal(solve, 20), np.diag(inverse),
+                               rtol=1e-13, atol=0)
+
+
+def test_shortcut_means_match_exact_solves():
+    inst = gen_planted_two_community(30, 20, 0.3, 0.1, 5)
+    shortcuts = ShortcutSet(candidate_endpoints(inst)[:3])
+    cands = candidate_endpoints(inst, shortcuts)
+    means = [evaluate(inst, shortcuts.with_added(r)) for r in cands]
+    np.testing.assert_allclose(exact._shortcut_means(inst, shortcuts, cands), means,
+                               rtol=1e-13, atol=0)
 
 
 def _sha1(times):

@@ -10,6 +10,7 @@ from hitmin import (
     brute_force_opt,
     candidate_endpoints,
     evaluate,
+    gen_lollipop,
     gen_planted_two_community,
     gen_star_path_clique,
     greedy_exact,
@@ -18,6 +19,7 @@ from hitmin import (
     pure_random,
     top_hitting_baseline,
 )
+from hitmin import optimize
 
 
 def test_iteration_budget_frozen_values():
@@ -71,9 +73,10 @@ def test_greedy_trace_strictly_decreases(path5):
 
 
 def _eager_greedy(inst, k):
-    # every candidate scored in every iteration, ascending, first strict
-    # minimum kept; stops like greedy_exact once the gain is at most 1e-12
-    selected, values = ShortcutSet(), []
+    # every candidate solved exactly in every iteration, ascending, first
+    # strict minimum kept; stops like greedy_exact once the gain is at most
+    # 1e-12
+    selected, endpoints, values = ShortcutSet(), [], []
     current, evaluations = evaluate(inst, selected), 1
     for _ in range(k):
         best = best_value = None
@@ -85,19 +88,51 @@ def _eager_greedy(inst, k):
         if best is None or current - best_value <= 1e-12:
             break
         selected, current = selected.with_added(best), best_value
+        endpoints.append(best)
         values.append(best_value)
-    return selected, values, evaluations
+    return endpoints, values, evaluations
 
 
-def test_lazy_matches_eager():
-    for seed in range(10):
-        inst = gen_planted_two_community(5, 5, 0.5, 0.2, 100 + seed)
-        for k in (1, 2, 3):
-            lazy_s, lazy_t = greedy_exact(inst, k)
-            eager_s, eager_values, eager_evaluations = _eager_greedy(inst, k)
-            assert lazy_s.endpoints == eager_s.endpoints
-            assert lazy_t.values == eager_values
-            assert lazy_t.evaluations <= eager_evaluations
+def test_greedy_matches_eager():
+    instances = [gen_planted_two_community(5, 5, 0.5, 0.2, 100 + seed)
+                 for seed in range(10)]
+    # node 3's first marginal rounds below its third, so a lazy heap that
+    # trusts stale marginals as bounds takes node 1 third, one ulp worse
+    instances.append(gen_planted_two_community(4, 4, 0.6, 0.3, 14))
+    # rank-one scores err by up to 4.8e-13 relative, and up to nine
+    # candidates fall in the tie band
+    instances.append(gen_lollipop(40, 10))
+    for inst in instances:
+        for k in (1, 2, 3, 8):
+            shortcuts, trace = greedy_exact(inst, k)
+            endpoints, values, evaluations = _eager_greedy(inst, k)
+            assert trace.endpoints == endpoints
+            assert sorted(endpoints) == list(shortcuts.endpoints)
+            assert trace.values == values
+            assert trace.evaluations == evaluations
+            assert 1 + len(values) <= trace.solves < evaluations
+
+
+def test_greedy_exact_tie_takes_lowest_index(path5):
+    assert evaluate(path5, [0]) == evaluate(path5, [4])
+    shortcuts, trace = greedy_exact(path5, 1)
+    assert shortcuts.endpoints == (0,)
+    # the base value, then both tied candidates settled exactly
+    assert trace.solves == 3
+
+
+def test_greedy_exact_falls_back_on_wrong_scores(monkeypatch):
+    # scores in reverse order: the winner's score misses its exact value, so
+    # every candidate is solved exactly and the eager result stands
+    inst = gen_planted_two_community(5, 5, 0.5, 0.2, 103)
+    scores = optimize._shortcut_means
+    monkeypatch.setattr(optimize, "_shortcut_means",
+                        lambda *args: scores(*args)[::-1])
+    shortcuts, trace = greedy_exact(inst, 3)
+    endpoints, values, evaluations = _eager_greedy(inst, 3)
+    assert (trace.endpoints, trace.values) == (endpoints, values)
+    # the base value, each iteration's tie band, then all its candidates
+    assert trace.solves > evaluations
 
 
 def test_greedy_plus_guarantee_needs_small_epsilon(path5):
