@@ -11,29 +11,29 @@ block with row r scaled by 1/(d_r + c_r), where c_r counts r's shortcuts.
 Exact solves therefore build no overlay; they read
 ``graph.shortcut_counts`` and solve on the graph's own CSR arrays.
 
-Multiplying row v by d_v (plus c_v) gives the symmetric positive definite
-form (D - A) h = d, with D the diagonal of those degrees and A the block's
-adjacency.  ``_transient_times`` solves a block of at least ``CG_MIN_NODES``
-unknowns whose induced graph has many independent cycles by conjugate
-gradients on that form (Hestenes and Stiefel, 1952), preconditioned by D.
-It iterates until max |r / d| <= ``CG_TOL`` or for ``CG_MAX_ITERATIONS``
-steps, recomputes the residual 1 - (I - Q) h from scratch and accepts h only
-within ``RESIDUAL_TOL``.  Every reduction is a NumPy sum and every product a
-serial sparse one, so the bits do not depend on the BLAS thread count.  A
-miss, as on lollipops, whose hitting times reach 1e5 and more, falls through
-to the direct path.
+Every solve builds its block once, in ``_chain``: the CSR adjacency A of
+the block induced on the transient set, from the graph's CSR slices
+(``graph.block_entries``) with no loop over nodes, and the float degrees d.
+Every solution, on every path and in every quasi-metric column, meets one
+residual, ``_residual``: b - (I - Q) h = b - h + A h / d, and one gate,
+``_passes``: max |residual| <= ``RESIDUAL_TOL`` per column, which NaN fails.
 
-The direct path has one builder, ``_factored``, which assembles (I - Q) for
-any transient set from the graph's CSR slices (``graph.block_entries``) with
-no loop over nodes and factors it.  Dense LU serves a block of at most
-``dense_limit`` unknowns whose induced graph has many independent cycles;
-every other block, near-forests of any size included, goes to sparse LU.
-The dense block is built in Fortran order and factored in place; its
-residuals read Q's nonzeros.  The quasi-metric and the exact greedy's
-candidate scores (``_shortcut_means``) share the builder.
-``_transient_times`` accepts a direct solution only when its residual,
-after at most one refinement pass with the same factor, is within
-``RESIDUAL_TOL``, and names the direct path and the size when it raises.
+Multiplying row v by d_v gives the symmetric positive definite form
+(D - A) h = d.  A block of at least ``CG_MIN_NODES`` unknowns whose induced
+graph has many independent cycles is solved by conjugate gradients on that
+form (Hestenes and Stiefel, 1952), preconditioned by D, until
+max |r / d| <= ``CG_TOL`` or for ``CG_MAX_ITERATIONS`` steps; its residual
+is then recomputed and gated.  Every reduction is a NumPy sum and every
+product a serial sparse one, so the bits do not depend on the BLAS thread
+count.  A miss, as on lollipops, whose hitting times reach 1e5 and more,
+falls through to the direct path: ``_factored`` builds I - Q from the chain
+and factors it, by dense LU (built in Fortran order and factored in place)
+for a block of at most ``dense_limit`` unknowns with many independent
+cycles, by sparse LU for every other block, near-forests of any size
+included.  A direct solution may take one refinement pass with the same
+factor before the gate; a failure names the path and the size.  The
+quasi-metric and the exact greedy's candidate scores (``_shortcut_means``)
+share the chain build and the factor.
 """
 
 from __future__ import annotations
@@ -119,51 +119,67 @@ class HittingProfile:
         return float(self.times[pos])
 
 
-def _has_many_cycles(rows, cols, m):
+def _has_many_cycles(adjacency):
     """Whether the block's cycle rank E - m + (components) exceeds
     ``DENSE_MIN_CYCLE_SHARE`` of its m nodes.  Components are counted only
     when the rank could be low enough to matter."""
-    excess = rows.size // 2 - m
+    m = adjacency.shape[0]
+    excess = adjacency.nnz // 2 - m
     if excess + 1 > DENSE_MIN_CYCLE_SHARE * m:
         return True
     # imported here: it adds about 1 MB of resident memory, and only blocks
     # this close to a forest need it
     from scipy.sparse.csgraph import connected_components
 
-    adjacency = scipy.sparse.coo_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(m, m))
     components = connected_components(adjacency, directed=False,
                                       return_labels=False)
     return excess + components > DENSE_MIN_CYCLE_SHARE * m
 
 
-def _factored(graph, nodes, dense_limit, degrees=None):
-    """Assemble I - Q on ``nodes`` and factor it.
-
-    Returns (multiply, solve, path): x -> (I - Q) x for residuals, the
-    factor's solve, and "dense LU" or "sparse LU".  Row v is scaled by
-    1/``degrees[v]``, the graph's own degrees by default.  Dense LU when the
-    block has at most ``dense_limit`` unknowns and its cycle rank exceeds
-    ``DENSE_MIN_CYCLE_SHARE`` of them; sparse LU otherwise, which on a
-    near-forest fills in almost nothing.
-    """
-    m = nodes.size
-    if degrees is None:
-        degrees = graph.degrees
+def _chain(graph, nodes, degrees):
+    """The absorbing chain on ``nodes``: the CSR adjacency of the block they
+    induce, rows in the order of ``nodes``, and their ``degrees`` as floats.
+    Row v of I - Q is e_v minus row v of the adjacency divided by d_v."""
     rows, cols = block_entries(graph, nodes)
-    weights = (1.0 / degrees[nodes])[rows]
+    m = nodes.size
+    adjacency = scipy.sparse.csr_matrix(
+        (np.ones(rows.size), cols, np.searchsorted(rows, np.arange(m + 1))),
+        shape=(m, m))
+    return adjacency, degrees[nodes].astype(float)
 
-    if m <= dense_limit and _has_many_cycles(rows, cols, m):
+
+def _residual(adjacency, d, h, b):
+    """b - (I - Q) h = b - h + A h / d, for one column h or a block."""
+    walked = adjacency @ h
+    return b - h + (walked / d if h.ndim == 1 else walked / d[:, None])
+
+
+def _passes(residual):
+    """The residual gate: whether max |residual| <= ``RESIDUAL_TOL``, per
+    column of a block.  Written so that NaN fails."""
+    return np.abs(residual).max(axis=0) <= RESIDUAL_TOL
+
+
+def _factored(adjacency, d, dense_limit):
+    """Build I - Q from the chain's adjacency and degrees and factor it.
+
+    Returns (solve, path): the factor's solve and "dense LU" or "sparse LU".
+    Dense LU when the block has at most ``dense_limit`` unknowns and its
+    cycle rank exceeds ``DENSE_MIN_CYCLE_SHARE`` of them; sparse LU
+    otherwise, which on a near-forest fills in almost nothing.
+    """
+    m = d.size
+    rows = np.repeat(np.arange(m), np.diff(adjacency.indptr))
+    cols = adjacency.indices
+    weights = (1.0 / d)[rows]
+
+    if m <= dense_limit and _has_many_cycles(adjacency):
         # Fortran order lets lu_factor work in place; it copies a C-ordered
         # array
         dense = np.eye(m, order="F")
         dense[rows, cols] = -weights
         lu = scipy.linalg.lu_factor(dense, overwrite_a=True)
-        # residuals read Q's nonzeros, in CSR straight from the ascending rows
-        Q = scipy.sparse.csr_matrix(
-            (weights, cols, np.searchsorted(rows, np.arange(m + 1))), shape=(m, m))
-        return (lambda x: x - Q @ x,
-                lambda rhs: scipy.linalg.lu_solve(lu, rhs), "dense LU")
+        return (lambda rhs: scipy.linalg.lu_solve(lu, rhs)), "dense LU"
 
     diag = np.arange(m)
     A = scipy.sparse.csc_matrix(
@@ -175,19 +191,13 @@ def _factored(graph, nodes, dense_limit, degrees=None):
         factor = scipy.sparse.linalg.splu(A)
     except RuntimeError as exc:
         raise SolverFailure(f"sparse factorization failed: {exc}") from exc
-    return (lambda x: A @ x), factor.solve, "sparse LU"
+    return factor.solve, "sparse LU"
 
 
-def _cg_times(rows, cols, d):
-    """Jacobi-preconditioned CG on (D - A) h = d for the block with adjacency
-    entries (rows, cols), rows ascending, and row degrees d.  Returns h when
-    its recomputed residual max |1 - (I - Q) h| is within ``RESIDUAL_TOL``,
-    else None."""
-    m = d.size
-    adjacency = scipy.sparse.csr_matrix(
-        (np.ones(rows.size), cols, np.searchsorted(rows, np.arange(m + 1))),
-        shape=(m, m))
-    h = np.zeros(m)
+def _cg_times(adjacency, d):
+    """Jacobi-preconditioned CG on (D - A) h = d for the chain's adjacency
+    and degrees.  Returns h when it passes the residual gate, else None."""
+    h = np.zeros(d.size)
     r = d.copy()
     z = r / d
     p = z.copy()
@@ -202,36 +212,30 @@ def _cg_times(rows, cols, d):
             break
         rz, previous = (r * z).sum(), rz
         p = z + (rz / previous) * p
-    # written to fail on NaN too
-    if np.abs(1.0 - h + (adjacency @ h) / d).max() <= RESIDUAL_TOL:
-        return h
-    return None
+    return h if _passes(_residual(adjacency, d, h, 1.0)) else None
 
 
 def _transient_times(graph, transient, dense_limit, degrees=None):
     """Solve (I - Q) h = 1 over the given transient node set: by CG on a
     large cycle-rich block, else, or when CG misses the gate, directly."""
-    if degrees is None:
-        degrees = graph.degrees
-    if transient.size >= CG_MIN_NODES:
-        rows, cols = block_entries(graph, transient)
-        if _has_many_cycles(rows, cols, transient.size):
-            h = _cg_times(rows, cols, degrees[transient].astype(float))
-            if h is not None:
-                return h
-    multiply, solve, path = _factored(graph, transient, dense_limit, degrees)
+    adjacency, d = _chain(graph, transient,
+                          graph.degrees if degrees is None else degrees)
+    if transient.size >= CG_MIN_NODES and _has_many_cycles(adjacency):
+        h = _cg_times(adjacency, d)
+        if h is not None:
+            return h
+    solve, path = _factored(adjacency, d, dense_limit)
     b = np.ones(transient.size)
     h = solve(b)
-    residual = b - multiply(h)
-    if np.abs(residual).max() > RESIDUAL_TOL:
+    residual = _residual(adjacency, d, h, b)
+    if not _passes(residual):
         h = h + solve(residual)
-        residual = b - multiply(h)
-    worst = float(np.abs(residual).max())
-    if worst > RESIDUAL_TOL:
-        raise SolverFailure(
-            f"residual {worst:.3e} exceeds {RESIDUAL_TOL} after refinement "
-            f"({path}, {transient.size} unknowns)"
-        )
+        residual = _residual(adjacency, d, h, b)
+        if not _passes(residual):
+            raise SolverFailure(
+                f"residual {np.abs(residual).max():.3e} exceeds {RESIDUAL_TOL} "
+                f"after refinement ({path}, {transient.size} unknowns)"
+            )
     return h
 
 
@@ -263,8 +267,8 @@ def _shortcut_means(instance, shortcuts, candidates):
     """
     reds = instance.red_ids
     degrees = instance.degrees + shortcut_counts(instance, shortcuts)
-    _, solve, _ = _factored(instance, reds, DENSE_NODE_LIMIT, degrees)
-    d = degrees[reds].astype(float)
+    adjacency, d = _chain(instance, reds, degrees)
+    solve, _ = _factored(adjacency, d, DENSE_NODE_LIMIT)
     h, s = solve(np.column_stack((np.ones(reds.size), 1.0 / d))).T
     pos = np.searchsorted(reds, candidates)
     diagonal = _inverse_diagonal(solve, reds.size)[pos]

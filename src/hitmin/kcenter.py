@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InstanceTooLarge, InvalidParameter
-from .exact import (DENSE_NODE_LIMIT, RESIDUAL_TOL, SOLVE_BLOCK, _factored,
-                    hitting_to_blue, hitting_to_target)
+from .exact import (DENSE_NODE_LIMIT, SOLVE_BLOCK, _chain, _factored, _passes,
+                    _residual, hitting_to_blue, hitting_to_target)
 from .graph import ShortcutSet
 from .optimize import GreedyTrace, brute_force_opt, greedy_exact, greedy_plus
 
@@ -109,17 +108,18 @@ def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
     pseudo-inverse, the system is divided by the degrees row by row and
     grounded at the highest-degree node g (its row and column removed, its
     value fixed at 0): (I - P)_g x = 1 - (2m / d_v) e_v, the absorbing-chain
-    system with g absorbing, built and factored once by ``exact._factored``.
-    The red targets' right-hand sides are solved ``SOLVE_BLOCK`` columns at a
-    time, with one refinement pass on the same factor, and each column is
-    shifted so h_v = 0.
+    system with g absorbing, built once by ``exact._chain`` and factored once
+    by ``exact._factored``.  The red targets' right-hand sides are solved
+    ``SOLVE_BLOCK`` columns at a time, with one refinement pass on the same
+    factor that reads ``exact._residual``, and each column is shifted so
+    h_v = 0.
 
-    Each column must then pass the absorbing-chain residual gate
-    |(I - P) h - 1| <= RESIDUAL_TOL on every node but v, as the direct
-    solver's does.  A column that misses it is re-solved with
-    ``hitting_to_target`` and counted in ``fallback_columns``.  The blue-point
-    row holds the worst blue starting node; the blue-point column comes
-    from one ``hitting_to_blue`` solve.
+    Each column must then pass ``exact``'s one gate, ``_passes``, on its
+    residual 1 - (I - P) h over the whole graph, every node but v, as every
+    exact solution does.  A column that misses it, NaN included, is
+    re-solved with ``hitting_to_target`` and counted in
+    ``fallback_columns``.  The blue-point row holds the worst blue starting
+    node; the blue-point column comes from one ``hitting_to_blue`` solve.
 
     ``dense_limit`` picks dense or sparse LU for the grounded factor and for
     the direct path of those two solvers.  It picks nothing for their CG
@@ -135,30 +135,24 @@ def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
     table = np.zeros((r + 1, r + 1))
     table[:r, r] = hitting_to_blue(instance, dense_limit=dense_limit).times
 
-    n = instance.n
-    deg = instance.degrees.astype(float)
-    adjacency = scipy.sparse.csr_matrix(
-        (np.ones(instance.indices.size), instance.indices, instance.indptr),
-        shape=(n, n),
-    )
-    # the gate also checks the grounded node's dropped equation, whose
-    # residual is minus the degree-weighted sum of all the others divided by
-    # that node's degree; grounded at a degree-1 node (a lollipop's blue
-    # head), most columns missed the gate
+    nodes = np.arange(instance.n)
+    # the gate reads the whole graph's chain, so it also checks the grounded
+    # node's dropped equation, whose residual is minus the degree-weighted
+    # sum of all the others divided by that node's degree; grounded at a
+    # degree-1 node (a lollipop's blue head), most columns missed the gate
+    full, deg = _chain(instance, nodes, instance.degrees)
     ground = int(np.argmax(instance.degrees))
-    multiply, solve, _ = _factored(instance, np.delete(np.arange(n), ground),
-                                   dense_limit)
+    grounded = _chain(instance, np.delete(nodes, ground), instance.degrees)
+    solve, _ = _factored(*grounded, dense_limit)
 
     fallbacks = 0
     for lo in range(0, r, SOLVE_BLOCK):
         targets = red_ids[lo:lo + SOLVE_BLOCK]
-        h = _target_columns(solve, multiply, ground, deg, targets)
-        gate = adjacency @ h
-        gate /= deg[:, None]
-        gate -= h
-        gate += 1.0
-        gate[targets, np.arange(targets.size)] = 0.0
-        for j in np.flatnonzero(np.abs(gate).max(axis=0) > RESIDUAL_TOL):
+        h = _target_columns(solve, grounded, ground, deg, targets)
+        # a target's own row is h_v = 0, not a walk equation
+        residual = _residual(full, deg, h, 1.0)
+        residual[targets, np.arange(targets.size)] = 0.0
+        for j in np.flatnonzero(~_passes(residual)):
             h[:, j] = hitting_to_target(instance, int(targets[j]), dense_limit)
             fallbacks += 1
         table[:r, lo:lo + targets.size] = h[red_ids]
@@ -166,13 +160,14 @@ def build_quasi_metric(instance, dense_limit=DENSE_NODE_LIMIT) -> QuasiMetric:
     return QuasiMetric(red_ids=red_ids, table=table, fallback_columns=fallbacks)
 
 
-def _target_columns(solve, multiply, ground, deg, targets):
+def _target_columns(solve, grounded, ground, deg, targets):
     """Hitting times from every node to each target, one column per target.
 
-    Solves the row-scaled grounded system for the right-hand sides
-    1 - (2m / d_v) e_v, refines once with the same factor, and shifts each
-    column to 0 at its target.  A target at the grounded node keeps the
-    all-ones right-hand side: its row is the one dropped.
+    Solves the row-scaled grounded system, whose chain is ``grounded``, for
+    the right-hand sides 1 - (2m / d_v) e_v, refines once with the same
+    factor, and shifts each column to 0 at its target.  A target at the
+    grounded node keeps the all-ones right-hand side: its row is the one
+    dropped.
     """
     cols = np.arange(targets.size)
     rows = targets - (targets > ground)
@@ -180,8 +175,7 @@ def _target_columns(solve, multiply, ground, deg, targets):
     rhs = np.ones((deg.size - 1, targets.size))
     rhs[rows[kept], cols[kept]] -= deg.sum() / deg[targets[kept]]
     x = solve(rhs)
-    rhs -= multiply(x)
-    x += solve(rhs)
+    x += solve(_residual(*grounded, x, rhs))
     h = np.insert(x, ground, 0.0, axis=0)
     h -= h[targets, cols]
     return h

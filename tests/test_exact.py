@@ -1,6 +1,7 @@
 """Absorbing-walk solver: frozen hand values, closed forms, and invariants."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -200,12 +201,8 @@ def _direct(monkeypatch, call):
         return call()
 
 
-def test_solver_path_is_picked_by_unknowns(monkeypatch):
-    # CG for a cycle-rich block of at least CG_MIN_NODES unknowns; else dense
-    # LU up to dense_limit unknowns, whatever the node count, and only for a
-    # block whose cycle rank exceeds an eighth of its unknowns
-    inst = gen_planted_two_community(6, 8, 0.5, 0.2, 3)
-    n, r = inst.n, inst.red_count
+def _record_factors(monkeypatch):
+    # each factorization as ("dense" or "sparse", unknowns), in call order
     seen = []
     dense, sparse = scipy.linalg.lu_factor, scipy.sparse.linalg.splu
     monkeypatch.setattr(scipy.linalg, "lu_factor",
@@ -213,6 +210,16 @@ def test_solver_path_is_picked_by_unknowns(monkeypatch):
                                          dense(a, **kw))[1])
     monkeypatch.setattr(scipy.sparse.linalg, "splu",
                         lambda a: (seen.append(("sparse", a.shape[0])), sparse(a))[1])
+    return seen
+
+
+def test_solver_path_is_picked_by_unknowns(monkeypatch):
+    # CG for a cycle-rich block of at least CG_MIN_NODES unknowns; else dense
+    # LU up to dense_limit unknowns, whatever the node count, and only for a
+    # block whose cycle rank exceeds an eighth of its unknowns
+    inst = gen_planted_two_community(6, 8, 0.5, 0.2, 3)
+    n, r = inst.n, inst.red_count
+    seen = _record_factors(monkeypatch)
 
     def blue_times(instance):
         return lambda limit: hitting_to_blue(instance, dense_limit=limit)
@@ -293,13 +300,53 @@ def test_solver_failure_names_the_path(monkeypatch, dense_limit, path):
         hitting_to_blue(inst, dense_limit=dense_limit)
 
 
+def _nan_solve(rhs):
+    return np.full(np.shape(rhs), np.nan)
+
+
+@pytest.mark.parametrize("dense_limit, path", [(DENSE_NODE_LIMIT, "dense LU"),
+                                               (0, "sparse LU")])
+def test_nan_solutions_fail_the_gate(monkeypatch, dense_limit, path):
+    # a factor whose every solve is NaN: no NaN times and no NaN table
+    monkeypatch.setattr(scipy.linalg, "lu_solve", lambda lu, rhs: _nan_solve(rhs))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda a: SimpleNamespace(solve=_nan_solve))
+    inst = gen_planted_two_community(20, 20, 0.3, 0.1, 2)
+    with pytest.raises(SolverFailure,
+                       match=rf"^residual nan .* \({path}, 20 unknowns\)$"):
+        hitting_to_blue(inst, dense_limit=dense_limit)
+    with pytest.raises(SolverFailure):
+        build_quasi_metric(inst, dense_limit=dense_limit)
+
+
+@pytest.mark.parametrize("make, dense_limit, factors", [
+    (lambda: gen_planted_two_community(CG_MIN_NODES, 500, 0.05, 0.01, 5),
+     DENSE_NODE_LIMIT, []),
+    (lambda: gen_planted_two_community(200, 200, 0.1, 0.01, 1),
+     DENSE_NODE_LIMIT, [("dense", 200)]),
+    (lambda: gen_lollipop(50, 20), 0, [("sparse", 69)]),
+], ids=["CG", "dense LU", "sparse LU"])
+def test_gate_rejects_a_perturbed_solution(monkeypatch, make, dense_limit, factors):
+    seen = _record_factors(monkeypatch)
+    inst = make()
+    h = hitting_to_blue(inst, dense_limit=dense_limit).times
+    assert seen == factors
+    chain = exact._chain(inst, inst.red_ids, inst.degrees)
+    assert exact._passes(exact._residual(*chain, h, 1.0))
+    # (I - Q) h = 1 makes the residual of c h equal 1 - c in every row, up to
+    # rounding
+    assert not exact._passes(exact._residual(*chain, h * (1 + 1e-7), 1.0))
+
+
 @pytest.mark.parametrize("dense_limit", [DENSE_NODE_LIMIT, 0])
 def test_inverse_diagonal_is_solved_in_blocks(monkeypatch, dense_limit):
     # 20 unknowns, blocks of 7: the last block is short
     monkeypatch.setattr(exact, "SOLVE_BLOCK", 7)
     inst = gen_planted_two_community(20, 10, 0.4, 0.1, 2)
-    multiply, solve, _ = exact._factored(inst, inst.red_ids, dense_limit)
-    inverse = np.linalg.inv(multiply(np.eye(20)))
+    adjacency, d = exact._chain(inst, inst.red_ids, inst.degrees)
+    solve, _ = exact._factored(adjacency, d, dense_limit)
+    # I - Q is minus the residual of the identity against a zero right-hand side
+    inverse = np.linalg.inv(-exact._residual(adjacency, d, np.eye(20), 0.0))
     np.testing.assert_allclose(exact._inverse_diagonal(solve, 20), np.diag(inverse),
                                rtol=1e-13, atol=0)
 

@@ -235,15 +235,17 @@ def test_quasi_metric_resolves_a_column_that_misses_the_gate(monkeypatch, path5)
     import hitmin.kcenter
 
     factored = hitmin.kcenter._target_columns
+    # far off, off by 1e-7 relative (a residual of 1e-7 on every row), and NaN
+    for corrupt in (lambda h: h * 1.5, lambda h: h * (1 + 1e-7),
+                    lambda h: np.full_like(h, np.nan)):
+        def corrupt_second_column(*args):
+            h = factored(*args)
+            h[:, 1] = corrupt(h[:, 1])
+            return h
 
-    def corrupt_second_column(*args):
-        h = factored(*args)
-        h[:, 1] *= 1.5
-        return h
-
-    monkeypatch.setattr(hitmin.kcenter, "_target_columns", corrupt_second_column)
-    qm = build_quasi_metric(path5)
-    assert qm.fallback_columns == 1
-    np.testing.assert_allclose(qm.table, PATH5_TABLE, atol=1e-9)
-    np.testing.assert_allclose(qm.table, _per_target_table(path5, DENSE_NODE_LIMIT),
-                               rtol=1e-12, atol=0)
+        monkeypatch.setattr(hitmin.kcenter, "_target_columns", corrupt_second_column)
+        qm = build_quasi_metric(path5)
+        assert qm.fallback_columns == 1
+        np.testing.assert_allclose(qm.table, PATH5_TABLE, atol=1e-9)
+        np.testing.assert_allclose(qm.table, _per_target_table(path5, DENSE_NODE_LIMIT),
+                                   rtol=1e-12, atol=0)
