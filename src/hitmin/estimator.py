@@ -9,15 +9,18 @@ epsilon/2 so that truncation error and sampling error each stay within half
 of the allowed relative error.  Experiment mode relaxes everything and
 additionally subsamples the start nodes.
 
-One batched kernel runs every walk.  It keeps only the positions of the
-walks still red and sums the step counts of the others into exact
-integers, so its memory is about three int64 arrays of the trial count and
-its draws are one ``rng.integers(0, deg)`` over the live walks per step.
+One batched kernel runs every walk.  It keeps one int64 array of the
+positions of the walks still red and sums the step counts of the others
+into exact integers.  Each step moves the live walks in fixed-size chunks,
+so its other memory is a few chunk-sized temporaries.  Its draws are those
+of one ``rng.integers(0, deg)`` over the live walks per step, in start
+order, reproduced exactly by a bulk draw of 32-bit words.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -39,6 +42,10 @@ __all__ = [
 ]
 
 _SPECTRAL_CAP = 1.0 - 1e-9
+# walks moved per chunk of a step: 256 KiB per int64 temporary
+_CHUNK = 1 << 15
+# index of the low 32-bit word within a uint64
+_LOW_WORD = 0 if sys.byteorder == "little" else 1
 
 
 def truncation_length(mean_red_degree: float, epsilon: float, spectral_bound: float) -> int:
@@ -175,36 +182,86 @@ class Estimate:
         return self.walk_length == 1
 
 
+def _integers(rng, high):
+    """``rng.integers(0, high)`` for a uint64 array ``high`` of bounds in
+    [1, 2**32), bit for bit and with the same generator state after it.
+
+    NumPy draws each element alone, by Lemire's multiply-shift ("Fast
+    random integer generation in an interval", ACM TOMACS 2019): a bound of
+    1 draws nothing; any other bound h takes one ``next_uint32`` value x and
+    returns the high word of m = x·h, unless the low word of m is below
+    (2**32 − h) mod h, when it draws again.  ``rng.integers(0, 2**32,
+    size=n, dtype=np.uint64)`` takes exactly n ``next_uint32`` values, so
+    one bulk draw and one multiply give the same words.  A rejection, at
+    most once in 2**32/h draws, moves that element and every later one a
+    draw along and takes one more draw at the end.
+    """
+    if high.size and high.min() < 2:
+        wide = high > 1
+        drawn = _integers(rng, high[wide])
+        out = np.zeros(high.size, dtype=np.int64)
+        out[wide] = drawn
+        return out
+    m = rng.integers(0, 1 << 32, size=high.size, dtype=np.uint64)
+    m *= high
+    low = m.view(np.uint32)[_LOW_WORD::2]
+    first = 0
+    # every threshold is below its bound, so a low word of at least the
+    # largest bound rejects nothing: one reduction in the common case
+    while low.size and low[first:].min() < high.max():
+        rest = high[first:]
+        rejected = np.flatnonzero(low[first:] < (np.uint64(1 << 32) - rest) % rest)
+        if not rejected.size:
+            break
+        first += int(rejected[0])
+        m[first:-1] = m[first + 1:] // high[first + 1:] * high[first:-1]
+        m[-1] = rng.integers(0, 1 << 32, dtype=np.uint64) * high[-1]
+    m >>= 32
+    return m.view(np.int64)
+
+
 def _walk_steps(graph, start, trials, limit, rng):
     """Batch of ``trials`` absorbing walks from ``start``, cut at ``limit`` steps.
 
     Returns (total, total_sq, still_red): the sum and the sum of squares of
     the walks' step counts, each walk counting the step at its first blue
     node or ``limit`` if it is not absorbed by then, and the number of walks
-    still red at ``limit``.  The state is only the positions of the live
-    walks, in start order: each step draws one ``rng.integers(0, deg)`` over
-    them, moves them, and keeps those still red.  The sums are Python ints,
-    so they are exact.
+    still red at ``limit``.  The state is one array of the positions of the
+    live walks, in start order.  Each step draws one ``rng.integers(0, deg)``
+    over them, reproduced by ``_integers``, and keeps those still red.  It
+    runs in chunks of ``_CHUNK`` walks, each drawing after the one before
+    and compacting its survivors into the front of the array, so the stream
+    is that of one draw per step and the temporaries stay cache-sized.  The
+    sums are Python ints, so they are exact.
     """
-    indptr, indices, is_red, degrees = graph.indptr, graph.indices, graph.is_red, graph.degrees
-    cur = np.full(trials, start, dtype=np.int64)
+    indptr, indices, is_red = graph.indptr, graph.indices, graph.is_red
+    degrees = graph.degrees.astype(np.uint64)
+    # numpy takes a bound of 2**32 as a raw word, which _integers does not
+    assert int(degrees.max()) < 1 << 32, "a degree of 2**32 or more"
+    pos = np.full(trials, start, dtype=np.int64)
+    live = trials
     total = total_sq = 0
     for step in range(1, limit + 1):
-        slot = rng.integers(0, degrees[cur])
-        slot += indptr[cur]
-        live = cur.size
-        # rebinding cur frees the old positions; no name outlives its step
-        cur = indices[slot]
-        del slot
-        cur = cur[is_red[cur]]
-        hits = live - cur.size
+        kept = 0
+        for lo in range(0, live, _CHUNK):
+            cur = pos[lo:min(lo + _CHUNK, live)]
+            slot = _integers(rng, degrees[cur])
+            slot += indptr[cur]
+            nxt = indices[slot]
+            del slot  # dead: freed before the filter allocates
+            nxt = nxt[is_red[nxt]]
+            # kept <= lo: the survivors never overwrite a walk still to move
+            pos[kept:kept + nxt.size] = nxt
+            kept += nxt.size
+        hits = live - kept
         total += step * hits
         total_sq += step * step * hits
-        if cur.size == 0:
+        live = kept
+        if live == 0:
             break
-    total += limit * cur.size
-    total_sq += limit * limit * cur.size
-    return total, total_sq, cur.size
+    total += limit * live
+    total_sq += limit * limit * live
+    return total, total_sq, live
 
 
 def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | None = None) -> Estimate:

@@ -1,6 +1,7 @@
 """Sampled hitting-time estimation: formulas, walks, and seed discipline."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hitmin import (
     BipartiteInstance,
     EstimatorConfig,
     InvalidParameter,
+    augmented_view,
     empirical_hitting,
     estimate_mean_hitting,
     expected_bounded_steps,
@@ -21,7 +23,7 @@ from hitmin import (
     spectral_radius,
     truncation_length,
 )
-from hitmin.estimator import _walk_steps
+from hitmin.estimator import _CHUNK, _integers, _walk_steps
 
 SQRT_HALF = 2.0**-0.5
 
@@ -189,6 +191,14 @@ def test_empirical_hitting_agrees_with_solver(path5):
     assert np.all(np.abs(means - exact) <= err + 1e-9)
 
 
+def test_empirical_hitting_stream_is_pinned(path5):
+    # recorded from the kernel that drew with rng.integers(0, deg)
+    means, stds = empirical_hitting(path5, trials=20000, seed=2)
+    assert means.tolist() == [4.008, 3.0092, 3.0093, 4.0301]
+    assert stds.tolist() == [
+        2.786453698917463, 2.833075480080577, 2.869934726830353, 2.834236340671282]
+
+
 def test_empirical_hitting_enforces_step_budget(path5):
     # node 0's only neighbour is red, so no walk is absorbed in one step
     with pytest.raises(RuntimeError):
@@ -258,6 +268,90 @@ def test_walk_kernel_matches_reference(graph, start, limit, survivors):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+# 2**31 + 1 and 3 * 2**30 + 7 reject about a half and a quarter of their draws
+BOUNDS = (1, 2, 7, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integers_replicates_numpy(seed):
+    rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+    mix = np.random.default_rng(100 + seed)
+    sizes = [0, 1, 5, 600, 0, 2000] + [int(n) for n in mix.integers(0, 300, 6)]
+    # several calls in a row, each ending on the same state
+    for size in sizes:
+        high = mix.choice(BOUNDS, size)
+        drawn = _integers(rng, high.astype(np.uint64))
+        expected = ref_rng.integers(0, high)
+        assert drawn.dtype == expected.dtype
+        assert np.array_equal(drawn, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for bound in BOUNDS:
+        high = np.full(500, bound)
+        assert np.array_equal(_integers(rng, high.astype(np.uint64)),
+                              ref_rng.integers(0, high))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _drawing(words):
+    # MT19937 returns its state words through an invertible tempering, so
+    # a state can be set that draws the given 32-bit words next
+    def untemper(y):
+        for shift, mask in ((18, None), (-15, 0xEFC60000), (-7, 0x9D2C5680), (11, None)):
+            x = y
+            for _ in range(5):
+                x = y ^ (x >> shift if mask is None else (x << -shift) & mask & 0xFFFFFFFF)
+            y = x
+        return y
+    key = np.full(624, 12345, dtype=np.uint32)
+    key[:len(words)] = [untemper(w) for w in words]
+    bit_generator = np.random.MT19937(0)
+    bit_generator.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(bit_generator)
+
+
+def test_integers_rejects_strictly_below_the_threshold():
+    # for the bound 2**31 + 1 the threshold (2**32 - h) % h is 2**31 - 1;
+    # the first word makes a low word equal to it, the second one below it
+    h = 2**31 + 1
+    words = [2**32 - 1, 2**31 - 2, 2**32 - 5, 3, 2**31 + 8]
+    assert [w * h % 2**32 for w in words[:2]] == [2**31 - 1, 2**31 - 2]
+    assert _drawing(words).integers(0, 2**32, 5, dtype=np.uint64).tolist() == words
+    rng, ref_rng = _drawing(words), _drawing(words)
+    high = np.full(3, h)
+    assert np.array_equal(_integers(rng, high.astype(np.uint64)), ref_rng.integers(0, high))
+    assert rng.bit_generator.state["state"]["pos"] == ref_rng.bit_generator.state["state"]["pos"]
+
+
+def test_walk_kernel_rejects_a_degree_of_two_to_the_32():
+    # numpy draws a bound of 2**32 as a raw word, outside the replica
+    graph = SimpleNamespace(indptr=np.array([0, 2**32]), indices=np.zeros(0, np.int64),
+                            is_red=np.array([True]), degrees=np.array([2**32]))
+    with pytest.raises(AssertionError):
+        _walk_steps(graph, 0, 4, 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("graph, start, limit", [
+    # graph 4's node 1 has one neighbour, red: its walks draw nothing there
+    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 1, 40),
+    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 2, 40),
+    # most walks survive three steps: survivors compact across chunks
+    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 1, 3),
+    # shortcut slots at nodes 0 and 2; node 1 keeps its one neighbour
+    (augmented_view(gen_planted_two_community(4, 4, 0.6, 0.3, 4), (0, 2, 2)), 1, 40),
+    (augmented_view(gen_planted_two_community(4, 4, 0.6, 0.3, 4), (0, 2, 2)), 0, 5),
+])
+def test_walk_kernel_matches_reference_across_chunks(graph, start, limit):
+    trials = 2 * _CHUNK + 17
+    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((7, start, limit)))
+                    for _ in range(2))
+    total, total_sq, still_red = _walk_steps(graph, start, trials, limit, rng)
+    steps, ref_still_red = _reference_walk_steps(graph, start, trials, limit, ref_rng)
+    assert total == int(steps.sum())
+    assert total_sq == int((steps * steps).sum())
+    assert still_red == ref_still_red
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_walk_kernel_peak_memory():
     graph = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
     trials = 200_000
@@ -269,9 +363,11 @@ def test_walk_kernel_peak_memory():
     finally:
         tracemalloc.stop()
     # numpy registers its data buffers with tracemalloc, so the peak is
-    # deterministic: about three int64 arrays of length trials here, nine
-    # for a kernel that keeps every walk's position and step count
-    assert peak <= 4 * 8 * trials
+    # deterministic: the positions, one int64 array of length trials, and
+    # a few chunk-sized temporaries (1.58 arrays of length trials here, 1
+    # plus 3.6 chunks); nine arrays for a kernel that keeps every walk's
+    # position and step count
+    assert peak <= 8 * trials + 4 * 8 * _CHUNK
 
 
 def test_estimator_stream_is_pinned(path5):
