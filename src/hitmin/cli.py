@@ -22,11 +22,13 @@ import numpy as np
 from . import __version__
 from .errors import HitminError, InvalidParameter
 from .estimator import EstimatorConfig
-from .exact import evaluate, hitting_to_blue
+# evaluate is not called here; it stays bound for callers that read or patch
+# hitmin.cli's bindings (perfbench's tracer does)
+from .exact import evaluate, hitting_to_blue  # noqa: F401
 from .generators import (gen_lollipop, gen_path, gen_planted_two_community,
                          gen_star_path_clique)
 from .graph import ShortcutSet, load_instance
-from .kcenter import kcenter_shortcuts, minmax_via_mean
+from .kcenter import build_quasi_metric, kcenter_shortcuts, minmax_via_mean
 from .optimize import (GreedyTrace, greedy_exact, greedy_plus, pure_random,
                        top_hitting_baseline)
 from .verify import has_failure, run_checks, summarize
@@ -128,38 +130,82 @@ def _blank_row(algorithm, k, fraction, rep, seed):
     }
 
 
-def _score_row(row, instance, shortcuts, edges, eval_count, wall_ms):
-    row["g_exact"] = repr(evaluate(instance, shortcuts, "avg"))
-    row["f_exact"] = repr(evaluate(instance, shortcuts, "max"))
+class _SweepMemo:
+    """Work the cells of one ``run_sweep`` call share; it dies with the call.
+
+    ``greedy`` is the capped ``greedy_exact`` result of the largest budget
+    so far, which later ``greedy`` and ``bmah_route`` cells resume from.
+    The quasi-metric is built by the first ``asymm`` cell that asks for it.
+    ``scores`` holds the mean and max exact hitting time of every multiset
+    scored so far, both from one ``hitting_to_blue``.  Failures are not
+    kept: a cell that repeats a failed call fails on its own.
+    """
+
+    def __init__(self, instance):
+        self.instance = instance
+        self.greedy = None
+        self._quasi_metric = None
+        self.scores = {}
+
+    def greedy_kwargs(self):
+        return {} if self.greedy is None else {"resume": self.greedy}
+
+    def keep_greedy(self, result):
+        if self.greedy is None or result[1].budget > self.greedy[1].budget:
+            self.greedy = result
+        return result
+
+    def quasi_metric(self):
+        if self._quasi_metric is None:
+            self._quasi_metric = build_quasi_metric(self.instance)
+        return self._quasi_metric
+
+    def score(self, shortcuts):
+        key = ShortcutSet.coerce(shortcuts)
+        if key not in self.scores:
+            profile = hitting_to_blue(self.instance, key)
+            self.scores[key] = (profile.mean_time, profile.max_time)
+        return self.scores[key]
+
+
+def _score_row(row, memo, shortcuts, edges, eval_count, wall_ms):
+    g_exact, f_exact = memo.score(shortcuts)
+    row["g_exact"] = repr(g_exact)
+    row["f_exact"] = repr(f_exact)
     row["edges"] = edges
     row["eval_count"] = eval_count
     row["wall_ms"] = f"{wall_ms:.3f}"
     return row
 
 
-# algorithm -> call(instance, k, seed, args).  A sequential algorithm
+# algorithm -> call(instance, k, seed, args, memo).  A sequential algorithm
 # returns (shortcuts, GreedyTrace), a one-shot one (shortcuts, eval_count).
-# The lambdas look the callees up in this module when called, so a caller
-# that patches a binding here sees every call.
+# Every cell makes one call, and the lambdas look the callees up in this
+# module when called, so a caller that patches a binding here sees every
+# cell.  greedy and bmah_route make the same capped greedy_exact call, so
+# each resumes the sweep's largest-budget run so far.
 _CALLS = {
-    "greedy": lambda inst, k, seed, args: greedy_exact(inst, k, epsilon=args.epsilon),
-    "greedy_plus": lambda inst, k, seed, args: greedy_plus(
+    "greedy": lambda inst, k, seed, args, memo: memo.keep_greedy(
+        greedy_exact(inst, k, epsilon=args.epsilon, **memo.greedy_kwargs())),
+    "greedy_plus": lambda inst, k, seed, args, memo: greedy_plus(
         inst, k, epsilon=args.epsilon, estimator_config=_estimator_config(args, seed)),
-    "asymm": lambda inst, k, seed, args: (kcenter_shortcuts(inst, k)[0],
-                                          inst.red_count + 1),
-    "bmah_route": lambda inst, k, seed, args: minmax_via_mean(inst, k, epsilon=args.epsilon),
-    "pure_random": lambda inst, k, seed, args: (pure_random(inst, k, seed), 0),
-    "top_hitting": lambda inst, k, seed, args: (top_hitting_baseline(inst, k), 1),
+    "asymm": lambda inst, k, seed, args, memo: (
+        kcenter_shortcuts(inst, k, quasi_metric=memo.quasi_metric())[0],
+        inst.red_count + 1),
+    "bmah_route": lambda inst, k, seed, args, memo: memo.keep_greedy(
+        minmax_via_mean(inst, k, epsilon=args.epsilon, **memo.greedy_kwargs())),
+    "pure_random": lambda inst, k, seed, args, memo: (pure_random(inst, k, seed), 0),
+    "top_hitting": lambda inst, k, seed, args, memo: (top_hitting_baseline(inst, k), 1),
 }
 
 
-def _run_cell(instance, algorithm, k, fraction, rep, seed, args):
+def _run_cell(memo, algorithm, k, fraction, rep, seed, args):
     def row(shortcuts, edges, eval_count, wall_ms):
         return _score_row(_blank_row(algorithm, k, fraction, rep, seed),
-                          instance, shortcuts, edges, eval_count, wall_ms)
+                          memo, shortcuts, edges, eval_count, wall_ms)
 
     started = time.perf_counter()
-    shortcuts, result = _CALLS[algorithm](instance, k, seed, args)
+    shortcuts, result = _CALLS[algorithm](memo.instance, k, seed, args, memo)
     wall = (time.perf_counter() - started) * 1000.0
     if not isinstance(result, GreedyTrace):
         return [row(shortcuts, shortcuts.k_used, result, wall)]
@@ -171,7 +217,12 @@ def _run_cell(instance, algorithm, k, fraction, rep, seed, args):
 
 
 def run_sweep(instance, args):
-    """Execute the full sweep and return the result rows in canonical order."""
+    """Execute the full sweep and return the result rows in canonical order.
+
+    The cells share work through a ``_SweepMemo`` that lives only for this
+    call, so the rows are those of running each cell alone, ``wall_ms``
+    apart.
+    """
     algorithms = args.algorithms
     if not algorithms:
         raise InvalidParameter("algorithm list is empty")
@@ -181,10 +232,15 @@ def run_sweep(instance, args):
                 f"unknown algorithm {a!r}; choose from {', '.join(ALGORITHMS)}"
             )
     fractions = args.fractions
+    if not fractions:
+        raise InvalidParameter("budget fraction list is empty")
     for frac in fractions:
         if not 0 < frac <= 1:
             raise InvalidParameter(f"budget fraction {frac} outside (0, 1]")
+    if args.reps < 1:
+        raise InvalidParameter(f"reps must be >= 1, got {args.reps}")
 
+    memo = _SweepMemo(instance)
     rows = []
     for a in algorithms:
         ai = ALGORITHMS.index(a)
@@ -196,7 +252,7 @@ def run_sweep(instance, args):
                 if a in RANDOMIZED:
                     seed = _derived_seed(args.seed, ai, fi, rep)
                 try:
-                    rows.extend(_run_cell(instance, a, k, frac, rep, seed, args))
+                    rows.extend(_run_cell(memo, a, k, frac, rep, seed, args))
                 except (HitminError, AssertionError) as exc:
                     # AssertionError: a HittingProfile sanity bound failed
                     row = _blank_row(a, k, frac, rep, seed)

@@ -237,18 +237,24 @@ def asym_k_center_fixed(qm: QuasiMetric, k: int) -> CenterSolution:
     return CenterSolution(centers=center_ids, radius=radius)
 
 
-def kcenter_shortcuts(instance, k: int):
+def kcenter_shortcuts(instance, k: int, quasi_metric: QuasiMetric | None = None):
     """Shortcut selection for the max objective via center placement.
 
-    Builds the quasi-metric, solves the fixed-center problem, then gives
-    every returned center one shortcut to the blue group.  A center already
-    adjacent to every blue node stays a center but contributes no edge, so
-    the result has at most k edges.
+    Builds the quasi-metric, or takes ``quasi_metric``, one built by
+    ``build_quasi_metric`` on this instance, so that several budgets share
+    one build.  Solves the fixed-center problem, then gives every returned
+    center one shortcut to the blue group.  A center already adjacent to
+    every blue node stays a center but contributes no edge, so the result
+    has at most k edges.
     Returns the shortcut set together with the center solution.
     """
     if k < 1:
         raise InvalidParameter(f"budget k must be >= 1, got {k}")
-    qm = build_quasi_metric(instance)
+    qm = quasi_metric
+    if qm is None:
+        qm = build_quasi_metric(instance)
+    elif not np.array_equal(qm.red_ids, instance.red_ids):
+        raise InvalidParameter("quasi_metric was built on other red nodes")
     solution = asym_k_center_fixed(qm, k)
     endpoints = [c for c in solution.centers if instance.capacity[c]]
     return ShortcutSet(endpoints), solution
@@ -256,21 +262,25 @@ def kcenter_shortcuts(instance, k: int):
 
 def minmax_via_mean(instance, k: int, epsilon: float = 0.1,
                     mode: str = "exact", estimator_config=None,
-                    cap_at_k: bool = True):
+                    cap_at_k: bool = True, resume=None):
     """Run the mean-objective greedy and hand its edges to the max objective.
 
     A good mean solution is a bounded-factor max solution because the two
     objectives never differ by more than a fixed power of the red group
     size.  Returns the greedy's shortcut set and trace unchanged; callers
-    evaluate the max objective on the augmentation.
+    evaluate the max objective on the augmentation.  ``resume`` goes to
+    ``greedy_exact`` as it is, so it needs the exact mode.
     """
     if mode not in ("exact", "estimated"):
         raise InvalidParameter(f"mode must be 'exact' or 'estimated', got {mode!r}")
+    if resume is not None and mode != "exact":
+        raise InvalidParameter("resume needs mode='exact'")
     if k == 0:
         # zero budget is a legal no-op here even though the greedies demand k >= 1
         return ShortcutSet(()), GreedyTrace(mode=mode, budget=0)
     if mode == "exact":
-        return greedy_exact(instance, k, epsilon=epsilon, cap_at_k=cap_at_k)
+        return greedy_exact(instance, k, epsilon=epsilon, cap_at_k=cap_at_k,
+                            resume=resume)
     return greedy_plus(instance, k, epsilon=epsilon,
                        estimator_config=estimator_config,
                        cap_at_k=cap_at_k)

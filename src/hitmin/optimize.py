@@ -98,13 +98,24 @@ def iteration_budget(k: int, n: int, epsilon: float, estimated: bool = False) ->
     return math.ceil(factor * math.log(float(n) ** 3 / epsilon))
 
 
-def greedy_exact(instance, k: int, epsilon: float = 0.1, cap_at_k: bool = True):
+def greedy_exact(instance, k: int, epsilon: float = 0.1, cap_at_k: bool = True,
+                 resume=None):
     """Greedy insertion of shortcut endpoints under the exact mean objective.
 
     Runs for k iterations when ``cap_at_k`` is set, otherwise for the full
     iteration budget that yields a (1+epsilon)-approximation with extra
     edges.  Ties break toward the lowest node index.  Returns the chosen
     multiset and a trace.
+
+    Each iteration depends only on the picks before it, so a capped run at
+    budget k is the first k entries of a capped run at any larger budget,
+    values and counters included.  ``resume`` takes an earlier
+    ``(selection, trace)`` of ``greedy_exact`` on this instance and needs
+    ``cap_at_k``: the first k entries are copied (the earlier trace is left
+    as it was), and the run continues from the last of them only if the
+    earlier run stopped at its own budget below k.  Entries the
+    continuation adds time from the start of the earlier run, as if it had
+    not been interrupted.
     """
     if k < 1:
         raise InvalidParameter(f"budget k must be >= 1, got {k}")
@@ -112,6 +123,16 @@ def greedy_exact(instance, k: int, epsilon: float = 0.1, cap_at_k: bool = True):
         raise InvalidParameter(f"epsilon must be positive, got {epsilon}")
     tau = k if cap_at_k else iteration_budget(k, instance.n, epsilon)
     trace = GreedyTrace(mode="exact", budget=tau)
+    if resume is not None:
+        earlier = resume[1]
+        if not cap_at_k:
+            raise InvalidParameter("resume needs cap_at_k=True")
+        if earlier.mode != "exact":
+            raise InvalidParameter("resume takes a greedy_exact result")
+        trace.entries = earlier.entries[:k]
+        if len(earlier.entries) >= k or len(earlier.entries) < earlier.budget:
+            # the earlier run reached k, or stopped early where this one would
+            return ShortcutSet(trace.endpoints), trace
 
     def measure(sc, endpoint, iteration):
         return evaluate(instance, sc, "avg")
@@ -153,20 +174,27 @@ def greedy_plus(instance, k: int, epsilon: float = 0.1,
 def _greedy_loop(instance, tau, measure, trace, exact):
     """Greedy insertion shared by both variants.
 
-    Each iteration keeps the first strict minimum over the candidates in
-    ascending order.  The sampled greedy measures every candidate.  The
-    exact greedy scores every candidate with ``_shortcut_means`` and
-    measures, by exact solves, only those whose scores lie within
-    ``_TIE_BAND`` (relative) of the lowest; the winner's value is always its
-    exact one.  If all scores are within a quarter of the band of the exact
-    values, a candidate outside the band cannot beat or tie the winner.  The
-    winner's own error stands in for that: when it exceeds a quarter of the
-    band, the iteration measures every candidate, as the sampled greedy does.
+    The run continues from the last entry already in ``trace``, if any: its
+    selection, value, counters and wall time.  Each iteration keeps the
+    first strict minimum over the candidates in ascending order.  The
+    sampled greedy measures every candidate.  The exact greedy scores every
+    candidate with ``_shortcut_means`` and measures, by exact solves, only
+    those whose scores lie within ``_TIE_BAND`` (relative) of the lowest;
+    the winner's value is always its exact one.  If all scores are within a
+    quarter of the band of the exact values, a candidate outside the band
+    cannot beat or tie the winner.  The winner's own error stands in for
+    that: when it exceeds a quarter of the band, the iteration measures
+    every candidate, as the sampled greedy does.
     """
     start = time.perf_counter()
-    selected = ShortcutSet()
+    selected = ShortcutSet(trace.endpoints)
     evals = solves = 0
-    if exact:
+    offset_ms = 0.0
+    if trace.entries:
+        last = trace.entries[-1]
+        current, evals, solves, offset_ms = (last.value, last.evaluations,
+                                             last.solves, last.wall_ms)
+    elif exact:
         current = measure(selected, instance.n, 0)
         evals = solves = 1
 
@@ -178,7 +206,7 @@ def _greedy_loop(instance, tau, measure, trace, exact):
                 best, best_value = r, value
         return best, best_value
 
-    for i in range(tau):
+    for i in range(len(trace.entries), tau):
         cands = candidate_endpoints(instance, selected)
         if not cands:
             break
@@ -207,7 +235,7 @@ def _greedy_loop(instance, tau, measure, trace, exact):
             endpoint=int(best),
             value=float(best_value),
             evaluations=evals,
-            wall_ms=(time.perf_counter() - start) * 1000.0,
+            wall_ms=offset_ms + (time.perf_counter() - start) * 1000.0,
             solves=solves,
         ))
     return selected

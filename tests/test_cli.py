@@ -146,6 +146,21 @@ def test_run_rejects_bad_algorithm_lists(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--fractions", ""], {"fractions": []}),
+    (["--reps", "0"], {"reps": 0}),
+])
+def test_run_rejects_an_empty_grid(tmp_path, capsys, flags, config):
+    base = ["run", "--gen", "path;length=5;blue=2", "--algorithms", "greedy,pure_random",
+            "--seed", "1", "--output", str(tmp_path / "x.csv")]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    for extra in (flags, ["--config", str(cfg)]):
+        assert main(base + extra) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"algorithms": "top_hitting", "fractions": "0.5"}))
@@ -247,6 +262,27 @@ def test_run_sweep_records_assertion_failures_and_continues(tmp_path, monkeypatc
     assert all(r["error"] == "" for r in greedy)
 
 
+def test_run_sweep_failed_quasi_metric_fails_each_asymm_cell(tmp_path, monkeypatch):
+    import hitmin.cli
+    from hitmin import SolverFailure
+
+    builds = []
+
+    def failing(instance):
+        builds.append(instance)
+        raise SolverFailure("residual above the gate")
+
+    monkeypatch.setattr(hitmin.cli, "build_quasi_metric", failing)
+    out = tmp_path / "qm.csv"
+    assert main(["run", "--gen", "path;length=5;blue=2", "--algorithms", "asymm,greedy",
+                 "--fractions", "0.25,0.5", "--output", str(out)]) == 0
+    rows = read_rows(out)
+    asymm = [r for r in rows if r["algorithm"] == "asymm"]
+    assert [r["error"] for r in asymm] == ["SolverFailure: residual above the gate"] * 2
+    assert len(builds) == 2
+    assert all(r["error"] == "" for r in rows if r["algorithm"] == "greedy")
+
+
 def test_run_sweep_runs_every_algorithm(monkeypatch):
     # every algorithm through one sweep, with the call shapes callers of
     # hitmin.cli rely on when they patch its bindings
@@ -265,13 +301,13 @@ def test_run_sweep_runs_every_algorithm(monkeypatch):
         return call
 
     for name in ("greedy_exact", "kcenter_shortcuts", "pure_random",
-                 "top_hitting_baseline"):
+                 "top_hitting_baseline", "build_quasi_metric"):
         monkeypatch.setattr(hitmin.cli, name, recording(name))
 
     inst = gen_planted_two_community(4, 4, 0.6, 0.3, 3)
     args = build_parser().parse_args([
         "run", "--gen", "unused", "--algorithms", ",".join(ALGORITHMS),
-        "--fractions", "0.5", "--reps", "2", "--seed", "5", "--output", "unused",
+        "--fractions", "0.25,0.5", "--reps", "2", "--seed", "5", "--output", "unused",
     ])
     rows = run_sweep(inst, args)
     assert all(r["error"] == "" for r in rows)
@@ -279,19 +315,79 @@ def test_run_sweep_runs_every_algorithm(monkeypatch):
     for r in rows:
         assert (r["seed"] != "") == (r["algorithm"] in RANDOMIZED)
     by_algo = {a: [r for r in rows if r["algorithm"] == a] for a in ALGORITHMS}
-    assert {r["eval_count"] for r in by_algo["asymm"]} == {inst.red_count + 1}
-    assert [r["eval_count"] for r in by_algo["pure_random"]] == [0, 0]
-    assert [r["eval_count"] for r in by_algo["top_hitting"]] == [1]
+    assert [r["eval_count"] for r in by_algo["asymm"]] == [inst.red_count + 1] * 2
+    assert [r["eval_count"] for r in by_algo["pure_random"]] == [0] * 4
+    assert [r["eval_count"] for r in by_algo["top_hitting"]] == [1, 1]
     _, trace = hitmin.greedy_exact(inst, 2, epsilon=args.epsilon)
     for a in ("greedy", "bmah_route"):
-        assert [r["edges"] for r in by_algo[a]] == list(range(1, len(trace.entries) + 1))
-        assert [r["eval_count"] for r in by_algo[a]] == [e.evaluations for e in trace.entries]
+        for k in (1, 2):
+            cell = [r for r in by_algo[a] if r["k"] == k]
+            assert [r["edges"] for r in cell] == list(range(1, k + 1))
+            assert [r["eval_count"] for r in cell] == [
+                e.evaluations for e in trace.entries[:k]]
     for rep in (0, 1):
         edges = [r["edges"] for r in by_algo["greedy_plus"] if r["rep"] == rep]
-        assert edges == [1, 2]
+        assert edges == [1, 1, 2]
 
-    assert ("greedy_exact", (), ["epsilon"]) in calls
+    # one call per cell; the second greedy cell resumes the first
+    assert [c for c in calls if c[0] == "greedy_exact"] == [
+        ("greedy_exact", (), ["epsilon"]), ("greedy_exact", (), ["epsilon", "resume"])]
     assert [c for c in calls if c[0] == "pure_random"] == [
         ("pure_random", (int(r["seed"]),), []) for r in by_algo["pure_random"]]
-    assert ("kcenter_shortcuts", (), []) in calls
-    assert ("top_hitting_baseline", (), []) in calls
+    # one kcenter_shortcuts call per asymm cell, one quasi-metric per sweep
+    assert [c for c in calls if c[0] == "kcenter_shortcuts"] == [
+        ("kcenter_shortcuts", (), ["quasi_metric"])] * 2
+    assert [c for c in calls if c[0] == "build_quasi_metric"] == [
+        ("build_quasi_metric", (), [])]
+    assert [c for c in calls if c[0] == "top_hitting_baseline"] == [
+        ("top_hitting_baseline", (), [])] * 2
+
+
+@pytest.mark.parametrize("spec", [
+    "planted;n_red=8;n_blue=8;p_in=0.5;p_out=0.2;seed=2",
+    "path;length=5;blue=2",
+])
+def test_run_sweep_shared_work_matches_cells_run_alone(monkeypatch, spec):
+    # 0.5 and 0.45 give one budget on both graphs (path5 has 4 red nodes,
+    # the planted graph 8), and 0.25 a smaller one after a larger
+    import hitmin.cli
+    from hitmin.cli import ALGORITHMS, build_parser, run_sweep
+
+    inst = parse_gen_spec(spec)
+    args = build_parser().parse_args([
+        "run", "--gen", spec, "--algorithms", ",".join(ALGORITHMS),
+        "--fractions", "0.5,0.25,0.45", "--reps", "2", "--seed", "5", "--output", "unused",
+    ])
+    builds = []
+    build = hitmin.cli.build_quasi_metric
+
+    def counting(instance):
+        builds.append(instance)
+        return build(instance)
+
+    monkeypatch.setattr(hitmin.cli, "build_quasi_metric", counting)
+    shared = run_sweep(inst, args)
+    assert strip_wall(run_sweep(inst, args)) == strip_wall(shared)
+    # the quasi-metric is built once per call, never kept across calls
+    assert len(builds) == 2
+    assert all(isinstance(v, (int, str)) for r in shared for v in r.values())
+
+    class RunAlone(hitmin.cli._SweepMemo):
+        """Each cell from scratch, each row scored by evaluate avg and max."""
+
+        def greedy_kwargs(self):
+            return {}
+
+        def quasi_metric(self):
+            return build(self.instance)
+
+        def score(self, shortcuts):
+            return (evaluate(self.instance, shortcuts, "avg"),
+                    evaluate(self.instance, shortcuts, "max"))
+
+    monkeypatch.setattr(hitmin.cli, "_SweepMemo", RunAlone)
+    alone = run_sweep(inst, args)
+    assert len(builds) == 2
+    assert all(r["error"] == "" for r in alone)
+    assert {r["algorithm"] for r in alone} == set(ALGORITHMS)
+    assert strip_wall(shared) == strip_wall(alone)

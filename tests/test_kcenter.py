@@ -148,6 +148,22 @@ def test_minmax_via_mean_exact(path5):
     assert trace.mode == "exact"
 
 
+def test_shared_quasi_metric_and_resumed_greedy_match_fresh_runs(path5):
+    inst = gen_planted_two_community(8, 8, 0.5, 0.2, 2)
+    qm = build_quasi_metric(inst)
+    for k in (1, 2, 3):
+        assert kcenter_shortcuts(inst, k, quasi_metric=qm) == kcenter_shortcuts(inst, k)
+    with pytest.raises(InvalidParameter):
+        kcenter_shortcuts(path5, 1, quasi_metric=qm)
+    earlier = minmax_via_mean(inst, 2)
+    sel, trace = minmax_via_mean(inst, 4, resume=earlier)
+    fresh_sel, fresh = minmax_via_mean(inst, 4)
+    assert sel == fresh_sel and trace.values == fresh.values
+    assert trace.evaluations == fresh.evaluations
+    with pytest.raises(InvalidParameter):
+        minmax_via_mean(inst, 4, mode="estimated", resume=earlier)
+
+
 def test_minmax_via_mean_estimated(path5):
     from hitmin import EstimatorConfig
 

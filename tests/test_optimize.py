@@ -52,6 +52,41 @@ def test_greedy_exact_validation(path5):
         greedy_exact(path5, 1, epsilon=-0.2)
 
 
+def _picks(trace):
+    return [(e.endpoint, e.value, e.evaluations, e.solves) for e in trace.entries]
+
+
+def test_greedy_exact_runs_are_prefixes_and_resume(path5):
+    # path5 saturates after two picks, so its runs at k >= 3 stop early
+    planted = gen_planted_two_community(8, 8, 0.5, 0.2, 2)
+    for inst, top in ((path5, 4), (planted, 6)):
+        runs = {k: greedy_exact(inst, k) for k in range(1, top + 1)}
+        assert len(runs[top][1].entries) == (2 if inst is path5 else top)
+        for k, (_, trace) in runs.items():
+            for longer in range(k + 1, top + 1):
+                assert _picks(runs[longer][1])[:k] == _picks(trace)
+        # resume from every earlier run: upward, downward (truncation) and
+        # from a run that stopped early
+        for k, (fresh_sel, fresh) in runs.items():
+            for earlier in runs.values():
+                entries = earlier[1].entries
+                before = list(entries)
+                sel, trace = greedy_exact(inst, k, resume=earlier)
+                assert earlier[1].entries is entries and entries == before
+                assert trace.entries is not entries
+                assert sel == fresh_sel
+                assert _picks(trace) == _picks(fresh)
+                assert (trace.mode, trace.budget) == (fresh.mode, fresh.budget)
+                walls = [e.wall_ms for e in trace.entries]
+                assert walls == sorted(walls)
+                shared = min(len(before), len(walls))
+                assert walls[:shared] == [e.wall_ms for e in before[:shared]]
+    with pytest.raises(InvalidParameter):
+        greedy_exact(path5, 2, cap_at_k=False, resume=runs[1])
+    with pytest.raises(InvalidParameter):
+        greedy_exact(path5, 2, resume=(ShortcutSet(), optimize.GreedyTrace("estimated", 1)))
+
+
 def test_greedy_stops_when_saturated(path3):
     # only one red node can still reach a new blue partner
     shortcuts, trace = greedy_exact(path3, 2)
