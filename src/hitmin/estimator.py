@@ -9,12 +9,15 @@ epsilon/2 so that truncation error and sampling error each stay within half
 of the allowed relative error.  Experiment mode relaxes everything and
 additionally subsamples the start nodes.
 
-One batched kernel runs every walk.  It keeps one int64 array of the
-positions of the walks still red and sums the step counts of the others
-into exact integers.  Each step moves the live walks in fixed-size chunks,
-so its other memory is a few chunk-sized temporaries.  Its draws are those
-of one ``rng.integers(0, deg)`` over the live walks per step, in start
-order, reproduced exactly by a bulk draw of 32-bit words.
+One batched kernel runs every walk.  It reads the red rows through one
+walk table per estimate, which maps each slot of a red row to its target's
+red-local index or to −1 where the step is absorbed.  It keeps one int64
+array of the red-local positions of the walks still red and sums the step
+counts of the others into exact integers.  Each step moves the live walks
+in fixed-size chunks, so its other memory is a few chunk-sized temporaries.
+Its draws are those of one ``rng.integers(0, deg)`` over the live walks per
+step, in start order, reproduced exactly by a bulk draw of 32-bit words:
+two per raw 64-bit draw for PCG64, through ``rng.integers`` otherwise.
 """
 
 from __future__ import annotations
@@ -182,6 +185,37 @@ class Estimate:
         return self.walk_length == 1
 
 
+def _words(rng, size):
+    """The 32-bit words of ``rng.integers(0, 2**32, size=size,
+    dtype=np.uint64)``, with the same generator state after it.
+
+    NumPy takes each word from the bit generator's ``next_uint32``.  PCG64's
+    gives the low then the high half of one 64-bit output and holds the high
+    half as a pending word (``has_uint32``, ``uinteger``); ``uinteger`` keeps
+    it after it is taken.  So on a little-endian host one ``random_raw`` draw
+    viewed as uint32 gives two words, after a pending word taken from the
+    state, and one write of the state leaves it as NumPy would.  Any other
+    bit generator, or host, draws the words through ``rng.integers``.
+    """
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64 or sys.byteorder != "little" or not size:
+        return rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
+    state = bit_generator.state
+    pending = state["has_uint32"]
+    fresh = size - pending
+    raw = bit_generator.random_raw((fresh + 1) // 2)
+    words = raw.view(np.uint32)[:fresh]
+    if pending:
+        words = np.concatenate((np.array([state["uinteger"]], dtype=np.uint32), words))
+    if fresh:
+        # the raw draws advanced the state read on entry
+        state = bit_generator.state
+        state["uinteger"] = int(raw[-1]) >> 32
+    state["has_uint32"] = fresh % 2
+    bit_generator.state = state
+    return words
+
+
 def _integers(rng, high):
     """``rng.integers(0, high)`` for a uint64 array ``high`` of bounds in
     [1, 2**32), bit for bit and with the same generator state after it.
@@ -192,18 +226,22 @@ def _integers(rng, high):
     returns the high word of m = x·h, unless the low word of m is below
     (2**32 − h) mod h, when it draws again.  ``rng.integers(0, 2**32,
     size=n, dtype=np.uint64)`` takes exactly n ``next_uint32`` values, so
-    one bulk draw and one multiply give the same words.  A rejection, at
-    most once in 2**32/h draws, moves that element and every later one a
+    one bulk draw of words (``_words``) and one multiply give the same
+    words.  An element with a bound of 1 takes the word 2**32 − 1 without a
+    draw: its product's high word is 0, the result, and its low word is at
+    least every threshold, so it never rejects.  A rejection, at most once
+    in 2**32/h draws, moves that element and every later one that draws a
     draw along and takes one more draw at the end.
     """
     if high.size and high.min() < 2:
-        wide = high > 1
-        drawn = _integers(rng, high[wide])
-        out = np.zeros(high.size, dtype=np.int64)
-        out[wide] = drawn
-        return out
-    m = rng.integers(0, 1 << 32, size=high.size, dtype=np.uint64)
-    m *= high
+        drawing = np.flatnonzero(high > 1)
+        drawn = _words(rng, drawing.size)
+        words = np.full(high.size, (1 << 32) - 1, dtype=np.uint32)
+        words[drawing] = drawn
+        del drawn, drawing  # dead: freed before the product allocates
+    else:
+        words = _words(rng, high.size)
+    m = words * high
     low = m.view(np.uint32)[_LOW_WORD::2]
     first = 0
     # every threshold is below its bound, so a low word of at least the
@@ -214,45 +252,72 @@ def _integers(rng, high):
         if not rejected.size:
             break
         first += int(rejected[0])
-        m[first:-1] = m[first + 1:] // high[first + 1:] * high[first:-1]
-        m[-1] = rng.integers(0, 1 << 32, dtype=np.uint64) * high[-1]
+        drawing = first + np.flatnonzero(high[first:] > 1)
+        m[drawing[:-1]] = m[drawing[1:]] // high[drawing[1:]] * high[drawing[:-1]]
+        m[drawing[-1]] = rng.integers(0, 1 << 32, dtype=np.uint64) * high[drawing[-1]]
     m >>= 32
     return m.view(np.int64)
 
 
-def _walk_steps(graph, start, trials, limit, rng):
+def _walk_table(graph):
+    """The red rows of ``graph`` as the walk kernel reads them.
+
+    Returns (bound, first, target), indexed by red-local position, the rank
+    of a red node in ``red_ids``: each red row's degree as a uint64 bound
+    for ``_integers`` and its first slot, and for each slot of a red row its
+    target's red-local position, or −1 where a step to it is absorbed.  Its
+    size is the red rows' slot count; blue rows are not read.
+    """
+    degrees = graph.degrees
+    # numpy takes a bound of 2**32 as a raw word, which _integers does not
+    assert int(degrees.max()) < 1 << 32, "a degree of 2**32 or more"
+    reds = graph.red_ids
+    red_degrees = degrees[reds]
+    first = np.zeros(reds.size + 1, dtype=np.int64)
+    np.cumsum(red_degrees, out=first[1:])
+    local = np.full(graph.n, -1, dtype=np.int64)
+    local[reds] = np.arange(reds.size)
+    slots = np.repeat(graph.indptr[reds] - first[:-1], red_degrees)
+    slots += np.arange(first[-1])
+    return red_degrees.astype(np.uint64), first[:-1], local[graph.indices[slots]]
+
+
+def _walk_steps(graph, start, trials, limit, rng, table=None):
     """Batch of ``trials`` absorbing walks from ``start``, cut at ``limit`` steps.
 
     Returns (total, total_sq, still_red): the sum and the sum of squares of
     the walks' step counts, each walk counting the step at its first blue
     node or ``limit`` if it is not absorbed by then, and the number of walks
-    still red at ``limit``.  The state is one array of the positions of the
-    live walks, in start order.  Each step draws one ``rng.integers(0, deg)``
-    over them, reproduced by ``_integers``, and keeps those still red.  It
-    runs in chunks of ``_CHUNK`` walks, each drawing after the one before
-    and compacting its survivors into the front of the array, so the stream
-    is that of one draw per step and the temporaries stay cache-sized.  The
-    sums are Python ints, so they are exact.
+    still red at ``limit``.  The state is one array of the red-local
+    positions of the live walks, in start order, read through ``table``
+    (``_walk_table(graph)``, built here if not given).  Each step draws one
+    ``rng.integers(0, deg)`` over them, reproduced by ``_integers``; one
+    gather of the drawn slots' targets and a sign test find the walks still
+    red, and a take by index compacts them.  It runs in chunks of ``_CHUNK``
+    walks, each drawing after the one before and compacting its survivors
+    into the front of the array, so the stream is that of one draw per step
+    and the temporaries stay cache-sized.  The sums are Python ints, so they
+    are exact.
     """
-    indptr, indices, is_red = graph.indptr, graph.indices, graph.is_red
-    degrees = graph.degrees.astype(np.uint64)
-    # numpy takes a bound of 2**32 as a raw word, which _integers does not
-    assert int(degrees.max()) < 1 << 32, "a degree of 2**32 or more"
-    pos = np.full(trials, start, dtype=np.int64)
+    bound, first, target = _walk_table(graph) if table is None else table
+    pos = np.full(trials, np.searchsorted(graph.red_ids, start), dtype=np.int64)
     live = trials
     total = total_sq = 0
     for step in range(1, limit + 1):
         kept = 0
         for lo in range(0, live, _CHUNK):
             cur = pos[lo:min(lo + _CHUNK, live)]
-            slot = _integers(rng, degrees[cur])
-            slot += indptr[cur]
-            nxt = indices[slot]
+            slot = _integers(rng, bound.take(cur))
+            slot += first.take(cur)
+            nxt = target.take(slot)
             del slot  # dead: freed before the filter allocates
-            nxt = nxt[is_red[nxt]]
-            # kept <= lo: the survivors never overwrite a walk still to move
-            pos[kept:kept + nxt.size] = nxt
-            kept += nxt.size
+            red = np.flatnonzero(nxt >= 0)
+            # kept <= lo: the survivors never overwrite a walk still to move;
+            # every index is in range, and "clip" writes straight into out
+            # where "raise" would write a copy first
+            nxt.take(red, out=pos[kept:kept + red.size], mode="clip")
+            kept += red.size
+            del nxt, red  # dead: freed before the next chunk draws
         hits = live - kept
         total += step * hits
         total_sq += step * step * hits
@@ -340,11 +405,12 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         sub_rng = np.random.default_rng(np.random.SeedSequence(entropy + (1,)))
         sampled = np.sort(sub_rng.choice(reds, size=size, replace=False))
 
+    table = _walk_table(graph)
     per_node = np.empty(sampled.size)
     walk_steps = 0
     for j, u in enumerate(sampled):
         rng_u = np.random.default_rng(np.random.SeedSequence(entropy + (0, int(u))))
-        total, _, _ = _walk_steps(graph, int(u), trials, ell, rng_u)
+        total, _, _ = _walk_steps(graph, int(u), trials, ell, rng_u, table)
         # an integer sum below 2**53 divided once: the bits of steps.mean()
         per_node[j] = total / trials
         walk_steps += total
@@ -383,11 +449,13 @@ def empirical_hitting(graph, nodes=None, trials: int = 10000, seed: int = 0,
     for u in nodes:
         if not 0 <= u < graph.n or not graph.is_red[u]:
             raise InvalidParameter(f"start node {u} is not a red node")
+    table = _walk_table(graph)
     means = np.empty(nodes.size)
     stds = np.empty(nodes.size)
     for j, u in enumerate(nodes):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, int(u))))
-        total, total_sq, still_red = _walk_steps(graph, int(u), trials, max_steps, rng)
+        total, total_sq, still_red = _walk_steps(graph, int(u), trials, max_steps, rng,
+                                                 table)
         if still_red:
             raise RuntimeError("absorbing walk exceeded the step budget")
         means[j] = total / trials

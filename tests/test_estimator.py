@@ -23,7 +23,7 @@ from hitmin import (
     spectral_radius,
     truncation_length,
 )
-from hitmin.estimator import _CHUNK, _integers, _walk_steps
+from hitmin.estimator import _CHUNK, _integers, _walk_steps, _words
 
 SQRT_HALF = 2.0**-0.5
 
@@ -350,6 +350,55 @@ def test_walk_kernel_matches_reference_across_chunks(graph, start, limit):
     assert total_sq == int((steps * steps).sum())
     assert still_red == ref_still_red
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _pcg64_holding_a_half_word(seed):
+    # an odd-size draw leaves the high half of its last raw draw pending
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2**32, size=3, dtype=np.uint64)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _mt19937(seed):
+    # not PCG64: the kernel draws its words through rng.integers
+    return np.random.Generator(np.random.MT19937(seed))
+
+
+@pytest.mark.parametrize("make_rng", [_pcg64_holding_a_half_word, _mt19937])
+@pytest.mark.parametrize("graph, start, limit, trials", [
+    # node 1 has one neighbour, red: bounds of 1 among the draws
+    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 2, 40, 2 * _CHUNK + 17),
+    (gen_lollipop(5, 3), 7, 5000, 3000),
+    # red rows that end in blue shortcut slots, one of them two deep
+    (augmented_view(gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)), 1, 60,
+     2 * _CHUNK + 17),
+    (augmented_view(gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)), 5, 3, 3000),
+])
+def test_walk_kernel_matches_reference_from_any_generator(make_rng, graph, start, limit,
+                                                          trials):
+    rng, ref_rng = make_rng(start), make_rng(start)
+    total, total_sq, still_red = _walk_steps(graph, start, trials, limit, rng)
+    steps, ref_still_red = _reference_walk_steps(graph, start, trials, limit, ref_rng)
+    assert total == int(steps.sum())
+    assert total_sq == int((steps * steps).sum())
+    assert still_red == ref_still_red
+    # MT19937's state holds its key as an array
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+def test_words_replicate_numpy():
+    # successive calls of odd and even sizes, 0 included, so that calls
+    # enter with and without a pending half word and leave either way
+    rng, ref_rng = (np.random.default_rng(12) for _ in range(2))
+    pending = set()
+    for size in (0, 1, 1, 2, 5, 0, 4, 7, 1, 0, 600, 33, 2, 2, 0):
+        pending.add(rng.bit_generator.state["has_uint32"])
+        words = _words(rng, size)
+        expected = ref_rng.integers(0, 2**32, size=size, dtype=np.uint64)
+        assert words.tolist() == expected.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert pending == {0, 1}
 
 
 def test_walk_kernel_peak_memory():
