@@ -10,20 +10,27 @@ of the allowed relative error.  Experiment mode relaxes everything and
 additionally subsamples the start nodes.
 
 One batched kernel runs every walk.  It reads the red rows through one
-walk table per estimate, which maps each slot of a red row to its target's
-red-local index or to −1 where the step is absorbed.  It keeps one int64
-array of the red-local positions of the walks still red and sums the step
-counts of the others into exact integers.  Each step moves the live walks
-in fixed-size chunks, so its other memory is a few chunk-sized temporaries.
-Its draws are those of one ``rng.integers(0, deg)`` over the live walks per
-step, in start order, reproduced exactly by a bulk draw of 32-bit words:
-two per raw 64-bit draw for PCG64, through ``rng.integers`` otherwise.
+walk table per estimate, which holds a walk at a red node as the slot where
+that node's row starts, and maps each slot of a red row to its row's degree
+and to its target's row start, or to −1 where the step is absorbed.  It
+keeps one int64 array of the row starts of the walks still red and sums the
+step counts of the others into exact integers.  Each step moves the live
+walks in fixed-size chunks, so its other memory is a few chunk-sized
+temporaries.  The first step gathers no degree: every walk is at the start
+node, whose degree and row start are shared scalars.  Its draws are those
+of one ``rng.integers(0, deg)`` over the live walks per step, in start
+order, reproduced exactly by a bulk draw of 32-bit words per chunk: two per
+raw 64-bit draw for PCG64, from one word source per start node that reads
+and writes the generator's state once, and through ``rng.integers``
+otherwise.  The spectral radius and the bounded-step expectation read the
+red block from ``exact._chain``, the package's one block builder.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -31,7 +38,8 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InvalidParameter
-from .graph import augmented_view, block_entries, shortcut_counts
+from .exact import _chain
+from .graph import augmented_view, shortcut_counts
 
 __all__ = [
     "EstimatorConfig",
@@ -93,19 +101,20 @@ def sample_count(walk_length: int, epsilon: float, delta: float, node_count: int
 def spectral_radius(graph, tol: float = 1e-6, max_iter: int = 10000) -> float:
     """Spectral radius of the degree-normalized red-red adjacency block.
 
-    Power iteration on the squared matrix, so both extreme eigenvalues are
-    captured.  Returns 0 when the red subgraph has no edges.  The result is
-    capped just below 1; weak chaining to the blue group keeps the true
-    value strictly below 1 on valid instances.
+    M = D^{-1/2} A D^{-1/2}, from the red chain's adjacency A and degrees D
+    (``exact._chain``).  Power iteration on the squared matrix, so both
+    extreme eigenvalues are captured.  Returns 0 when the red subgraph has
+    no edges.  The result is capped just below 1; weak chaining to the blue
+    group keeps the true value strictly below 1 on valid instances.
     """
-    reds = graph.red_ids
-    r = reds.size
-    rows, cols = block_entries(graph, reds)
-    if not rows.size:
+    adjacency, d = _chain(graph, graph.red_ids, graph.degrees)
+    if not adjacency.nnz:
         return 0.0
-    inv_sqrt = 1.0 / np.sqrt(graph.degrees[reds].astype(float))
-    vals = inv_sqrt[rows] * inv_sqrt[cols]
-    M = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(r, r))
+    r = d.size
+    inv_sqrt = 1.0 / np.sqrt(d)
+    rows = np.repeat(np.arange(r), np.diff(adjacency.indptr))
+    vals = inv_sqrt[rows] * inv_sqrt[adjacency.indices]
+    M = scipy.sparse.csr_matrix((vals, adjacency.indices, adjacency.indptr), shape=(r, r))
 
     rng = np.random.default_rng(0x5EED)
     v = rng.random(r)
@@ -185,40 +194,60 @@ class Estimate:
         return self.walk_length == 1
 
 
-def _words(rng, size):
-    """The 32-bit words of ``rng.integers(0, 2**32, size=size,
-    dtype=np.uint64)``, with the same generator state after it.
+@contextmanager
+def _words(rng):
+    """A source of the 32-bit words of successive ``rng.integers(0, 2**32,
+    size=size, dtype=np.uint64)`` calls, as ``draw(size)``; on exit the
+    generator's state is what those calls would leave.
 
     NumPy takes each word from the bit generator's ``next_uint32``.  PCG64's
     gives the low then the high half of one 64-bit output and holds the high
     half as a pending word (``has_uint32``, ``uinteger``); ``uinteger`` keeps
-    it after it is taken.  So on a little-endian host one ``random_raw`` draw
-    viewed as uint32 gives two words, after a pending word taken from the
-    state, and one write of the state leaves it as NumPy would.  Any other
-    bit generator, or host, draws the words through ``rng.integers``.
+    it after it is taken, and ``random_raw`` touches neither.  So on a
+    little-endian host one ``random_raw`` draw viewed as uint32 gives two
+    words.  The source reads the pending word from the state once on entry,
+    carries it from draw to draw, and writes ``has_uint32`` and ``uinteger``
+    back once on exit, only if they changed.  Any other bit generator, or
+    host, draws each call's words through ``rng.integers``.
     """
     bit_generator = rng.bit_generator
-    if type(bit_generator) is not np.random.PCG64 or sys.byteorder != "little" or not size:
-        return rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
+    if type(bit_generator) is not np.random.PCG64 or sys.byteorder != "little":
+        yield lambda size: rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
+        return
     state = bit_generator.state
-    pending = state["has_uint32"]
-    fresh = size - pending
-    raw = bit_generator.random_raw((fresh + 1) // 2)
-    words = raw.view(np.uint32)[:fresh]
-    if pending:
-        words = np.concatenate((np.array([state["uinteger"]], dtype=np.uint32), words))
-    if fresh:
-        # the raw draws advanced the state read on entry
-        state = bit_generator.state
-        state["uinteger"] = int(raw[-1]) >> 32
-    state["has_uint32"] = fresh % 2
-    bit_generator.state = state
-    return words
+    has, uinteger = state["has_uint32"], state["uinteger"]
+
+    def draw(size):
+        nonlocal has, uinteger
+        if not size:
+            return np.empty(0, dtype=np.uint32)
+        fresh = size - has
+        raw = bit_generator.random_raw((fresh + 1) // 2)
+        words = raw.view(np.uint32)[:fresh]
+        if has:
+            words = np.concatenate((np.array([uinteger], dtype=np.uint32), words))
+        if fresh:
+            uinteger = int(raw[-1]) >> 32
+        has = fresh % 2
+        return words
+
+    try:
+        yield draw
+    finally:
+        if (has, uinteger) != (state["has_uint32"], state["uinteger"]):
+            # the raw draws advanced the state read on entry
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = has, uinteger
+            bit_generator.state = state
 
 
-def _integers(rng, high):
-    """``rng.integers(0, high)`` for a uint64 array ``high`` of bounds in
-    [1, 2**32), bit for bit and with the same generator state after it.
+def _integers(draw, high, size, screen, ones):
+    """``rng.integers(0, high, size)`` for uint64 bounds in [1, 2**32), bit
+    for bit, from the words of ``draw`` (``_words(rng)``).
+
+    ``high`` holds ``size`` bounds, or one bound that every draw shares.
+    ``screen`` is at least every bound.  ``ones`` is true when some bound is
+    1; for a shared bound, exactly when it is 1.
 
     NumPy draws each element alone, by Lemire's multiply-shift ("Fast
     random integer generation in an interval", ACM TOMACS 2019): a bound of
@@ -226,27 +255,27 @@ def _integers(rng, high):
     returns the high word of m = x·h, unless the low word of m is below
     (2**32 − h) mod h, when it draws again.  ``rng.integers(0, 2**32,
     size=n, dtype=np.uint64)`` takes exactly n ``next_uint32`` values, so
-    one bulk draw of words (``_words``) and one multiply give the same
-    words.  An element with a bound of 1 takes the word 2**32 − 1 without a
-    draw: its product's high word is 0, the result, and its low word is at
-    least every threshold, so it never rejects.  A rejection, at most once
-    in 2**32/h draws, moves that element and every later one that draws a
-    draw along and takes one more draw at the end.
+    one bulk draw of words and one multiply give the same words.  An
+    element with a bound of 1 takes the word 2**32 − 1 without a draw: its
+    product's high word is 0, the result, and its low word is at least
+    every threshold, so it never rejects.  Every threshold is below its
+    bound, so no low word of at least ``screen`` rejects: one reduction
+    settles the common case.  A rejection, at most once in 2**32/h draws,
+    moves that element and every later one that draws a draw along and
+    takes one more draw at the end.
     """
-    if high.size and high.min() < 2:
+    if ones:
         drawing = np.flatnonzero(high > 1)
-        drawn = _words(rng, drawing.size)
-        words = np.full(high.size, (1 << 32) - 1, dtype=np.uint32)
-        words[drawing] = drawn
-        del drawn, drawing  # dead: freed before the product allocates
+        words = np.full(size, (1 << 32) - 1, dtype=np.uint32)
+        words[drawing] = draw(drawing.size)
+        del drawing  # dead: freed before the product allocates
     else:
-        words = _words(rng, high.size)
+        words = draw(size)
     m = words * high
     low = m.view(np.uint32)[_LOW_WORD::2]
     first = 0
-    # every threshold is below its bound, so a low word of at least the
-    # largest bound rejects nothing: one reduction in the common case
-    while low.size and low[first:].min() < high.max():
+    while first < size and low[first:].min() < screen:
+        high = np.broadcast_to(high, size)
         rest = high[first:]
         rejected = np.flatnonzero(low[first:] < (np.uint64(1 << 32) - rest) % rest)
         if not rejected.size:
@@ -254,7 +283,7 @@ def _integers(rng, high):
         first += int(rejected[0])
         drawing = first + np.flatnonzero(high[first:] > 1)
         m[drawing[:-1]] = m[drawing[1:]] // high[drawing[1:]] * high[drawing[:-1]]
-        m[drawing[-1]] = rng.integers(0, 1 << 32, dtype=np.uint64) * high[drawing[-1]]
+        m[drawing[-1]] = int(draw(1)[0]) * int(high[drawing[-1]])
     m >>= 32
     return m.view(np.int64)
 
@@ -262,11 +291,13 @@ def _integers(rng, high):
 def _walk_table(graph):
     """The red rows of ``graph`` as the walk kernel reads them.
 
-    Returns (bound, first, target), indexed by red-local position, the rank
-    of a red node in ``red_ids``: each red row's degree as a uint64 bound
-    for ``_integers`` and its first slot, and for each slot of a red row its
-    target's red-local position, or −1 where a step to it is absorbed.  Its
-    size is the red rows' slot count; blue rows are not read.
+    A walk at a red node is held as the slot where that node's row starts.
+    Returns (bound, target, first, largest, ones): per slot of a red row,
+    the row's degree as a uint64 bound for ``_integers`` and the row start
+    of the slot's target, or −1 where a step to it is absorbed; per red
+    node, in ``red_ids`` order, its row start; then the largest bound, and
+    whether some red row has degree 1.  Its size is the red rows' slot
+    count; blue rows are not read.
     """
     degrees = graph.degrees
     # numpy takes a bound of 2**32 as a raw word, which _integers does not
@@ -275,11 +306,13 @@ def _walk_table(graph):
     red_degrees = degrees[reds]
     first = np.zeros(reds.size + 1, dtype=np.int64)
     np.cumsum(red_degrees, out=first[1:])
-    local = np.full(graph.n, -1, dtype=np.int64)
-    local[reds] = np.arange(reds.size)
+    start = np.full(graph.n, -1, dtype=np.int64)
+    start[reds] = first[:-1]
     slots = np.repeat(graph.indptr[reds] - first[:-1], red_degrees)
     slots += np.arange(first[-1])
-    return red_degrees.astype(np.uint64), first[:-1], local[graph.indices[slots]]
+    return (np.repeat(red_degrees.astype(np.uint64), red_degrees),
+            start[graph.indices[slots]], first[:-1],
+            int(red_degrees.max(initial=0)), bool((red_degrees == 1).any()))
 
 
 def _walk_steps(graph, start, trials, limit, rng, table=None):
@@ -288,42 +321,53 @@ def _walk_steps(graph, start, trials, limit, rng, table=None):
     Returns (total, total_sq, still_red): the sum and the sum of squares of
     the walks' step counts, each walk counting the step at its first blue
     node or ``limit`` if it is not absorbed by then, and the number of walks
-    still red at ``limit``.  The state is one array of the red-local
-    positions of the live walks, in start order, read through ``table``
-    (``_walk_table(graph)``, built here if not given).  Each step draws one
-    ``rng.integers(0, deg)`` over them, reproduced by ``_integers``; one
-    gather of the drawn slots' targets and a sign test find the walks still
-    red, and a take by index compacts them.  It runs in chunks of ``_CHUNK``
+    still red at ``limit``.  The state is one array of the row starts of the
+    live walks, in start order, read through ``table`` (``_walk_table(graph)``,
+    built here if not given).  Each step draws one ``rng.integers(0, deg)``
+    over them, reproduced by ``_integers`` from one word source
+    (``_words``), so the generator's state is read and written once per
+    call.  The drawn slot is the row start plus the draw, so one gather of
+    the bounds and one of the drawn slots' targets, with a sign test, find
+    the walks still red, and a take by index compacts them.  Every walk of
+    the first step is at ``start``, whose bound and row start are shared
+    scalars: it gathers only the targets.  It runs in chunks of ``_CHUNK``
     walks, each drawing after the one before and compacting its survivors
     into the front of the array, so the stream is that of one draw per step
-    and the temporaries stay cache-sized.  The sums are Python ints, so they
-    are exact.
+    and the temporaries stay cache-sized.  A ``limit`` of 0 draws nothing.
+    The sums are Python ints, so they are exact.
     """
-    bound, first, target = _walk_table(graph) if table is None else table
-    pos = np.full(trials, np.searchsorted(graph.red_ids, start), dtype=np.int64)
+    bound, target, first, largest, ones = _walk_table(graph) if table is None else table
+    at = first[np.searchsorted(graph.red_ids, start)]
+    pos = np.empty(trials, dtype=np.int64)
     live = trials
     total = total_sq = 0
-    for step in range(1, limit + 1):
-        kept = 0
-        for lo in range(0, live, _CHUNK):
-            cur = pos[lo:min(lo + _CHUNK, live)]
-            slot = _integers(rng, bound.take(cur))
-            slot += first.take(cur)
-            nxt = target.take(slot)
-            del slot  # dead: freed before the filter allocates
-            red = np.flatnonzero(nxt >= 0)
-            # kept <= lo: the survivors never overwrite a walk still to move;
-            # every index is in range, and "clip" writes straight into out
-            # where "raise" would write a copy first
-            nxt.take(red, out=pos[kept:kept + red.size], mode="clip")
-            kept += red.size
-            del nxt, red  # dead: freed before the next chunk draws
-        hits = live - kept
-        total += step * hits
-        total_sq += step * step * hits
-        live = kept
-        if live == 0:
-            break
+    with _words(rng) as draw:
+        for step in range(1, limit + 1):
+            kept = 0
+            for lo in range(0, live, _CHUNK):
+                if step == 1:
+                    slot = _integers(draw, bound[at:at + 1], min(_CHUNK, live - lo),
+                                     bound[at], bound[at] == 1)
+                    slot += at
+                else:
+                    cur = pos[lo:min(lo + _CHUNK, live)]
+                    slot = _integers(draw, bound.take(cur), cur.size, largest, ones)
+                    slot += cur
+                nxt = target.take(slot)
+                del slot  # dead: freed before the filter allocates
+                red = np.flatnonzero(nxt >= 0)
+                # kept <= lo: the survivors never overwrite a walk still to
+                # move; every index is in range, and "clip" writes straight
+                # into out where "raise" would write a copy first
+                nxt.take(red, out=pos[kept:kept + red.size], mode="clip")
+                kept += red.size
+                del nxt, red  # dead: freed before the next chunk draws
+            hits = live - kept
+            total += step * hits
+            total_sq += step * step * hits
+            live = kept
+            if live == 0:
+                break
     total += limit * live
     total_sq += limit * limit * live
     return total, total_sq, live
@@ -470,22 +514,18 @@ def expected_bounded_steps(instance, shortcuts=None, length: int = 1) -> np.ndar
     The bounded walk records min(T, length) where T is the true absorption
     step count, so its expectation is the sum of the first ``length``
     survival probabilities.  Those come from repeated sparse matvecs with
-    the red-to-red transition block; no sampling is involved.  This is the
-    quantity the walk estimator is unbiased for, and it never exceeds the
-    exact hitting time.  Shortcuts only add to the red degrees, so no
-    overlay is built.
+    the red chain's adjacency (``exact._chain``), each divided by the
+    degrees; no sampling is involved.  This is the quantity the walk
+    estimator is unbiased for, and it never exceeds the exact hitting time.
+    Shortcuts only add to the red degrees, so no overlay is built.
     """
     if length < 0:
         raise InvalidParameter(f"length must be >= 0, got {length}")
-    red = instance.red_ids
-    degrees = instance.degrees + shortcut_counts(instance, shortcuts)
-    rows, cols = block_entries(instance, red)
-    q = scipy.sparse.csr_matrix(
-        ((1.0 / degrees[red])[rows], (rows, cols)), shape=(red.size, red.size)
-    )
-    survive = np.ones(red.size)
-    total = np.zeros(red.size)
+    adjacency, d = _chain(instance, instance.red_ids,
+                          instance.degrees + shortcut_counts(instance, shortcuts))
+    survive = np.ones(d.size)
+    total = np.zeros(d.size)
     for _ in range(length):
         total += survive
-        survive = q @ survive
+        survive = adjacency @ survive / d
     return total

@@ -209,6 +209,28 @@ def test_empirical_hitting_enforces_step_budget(path5):
             empirical_hitting(path5, [start], trials=8)
 
 
+def test_zero_step_limit_draws_nothing(path5, monkeypatch):
+    # no step is taken, so no walk is absorbed and no word is drawn
+    graph = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
+    for start in (0, 1, 2):
+        rng, fresh = np.random.default_rng(start), np.random.default_rng(start)
+        assert _walk_steps(graph, start, 10, 0, rng) == (0, 0, 10)
+        assert rng.bit_generator.state == fresh.bit_generator.state
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        made.append((seed, default_rng(seed)))
+        return made[-1][1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    with pytest.raises(RuntimeError):
+        empirical_hitting(path5, [0, 1], trials=8, max_steps=0)
+    assert made
+    for seed, rng in made:
+        assert rng.bit_generator.state == default_rng(seed).bit_generator.state
+
+
 def test_empirical_hitting_needs_two_trials(path5):
     # one trial has no sample std and none has no mean
     for trials in (1, 0):
@@ -272,6 +294,15 @@ def test_walk_kernel_matches_reference(graph, start, limit, survivors):
 BOUNDS = (1, 2, 7, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1)
 
 
+def _draw_integers(rng, high, size=None):
+    # one word source per call, screened by the largest bound, and the
+    # bound-1 scatter only where a bound is 1
+    high = high.astype(np.uint64)
+    with _words(rng) as draw:
+        return _integers(draw, high, high.size if size is None else size,
+                         high.max(initial=0), bool((high == 1).any()))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_integers_replicates_numpy(seed):
     rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
@@ -280,14 +311,17 @@ def test_integers_replicates_numpy(seed):
     # several calls in a row, each ending on the same state
     for size in sizes:
         high = mix.choice(BOUNDS, size)
-        drawn = _integers(rng, high.astype(np.uint64))
+        drawn = _draw_integers(rng, high)
         expected = ref_rng.integers(0, high)
         assert drawn.dtype == expected.dtype
         assert np.array_equal(drawn, expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     for bound in BOUNDS:
         high = np.full(500, bound)
-        assert np.array_equal(_integers(rng, high.astype(np.uint64)),
+        assert np.array_equal(_draw_integers(rng, high), ref_rng.integers(0, high))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # the same bound shared by every draw, as at a walk's first step
+        assert np.array_equal(_draw_integers(rng, high[:1], high.size),
                               ref_rng.integers(0, high))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -318,8 +352,38 @@ def test_integers_rejects_strictly_below_the_threshold():
     assert _drawing(words).integers(0, 2**32, 5, dtype=np.uint64).tolist() == words
     rng, ref_rng = _drawing(words), _drawing(words)
     high = np.full(3, h)
-    assert np.array_equal(_integers(rng, high.astype(np.uint64)), ref_rng.integers(0, high))
+    assert np.array_equal(_draw_integers(rng, high), ref_rng.integers(0, high))
     assert rng.bit_generator.state["state"]["pos"] == ref_rng.bit_generator.state["state"]["pos"]
+
+
+# red 0 has the slots 1, 2 (red) and 3 (blue), red 1 has 0, 3 and 4, and
+# red 2 has one slot, 0: bounds 3, 3 and 1.  For the bound 3 the threshold
+# (2**32 - 3) % 3 is 1, so the word 0 is rejected
+BOUND_THREE = BipartiteInstance(5, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)],
+                                [True, True, True, False, False])
+
+
+@pytest.mark.parametrize("words, trials, bounds, drawn", [
+    # the first step, from red 0: walk 2's word 0 is rejected, and it takes
+    # the next word, 2**32 - 1, to the blue node 3
+    ([2**31, 0, 2**32 - 1], 3, [3, 3], [1, 2]),
+    # four walks from red 0 step to red 2, red 1, red 2 and red 1; in the
+    # second step the degree-1 rows draw nothing, walk 2's word 0 is
+    # rejected, and walks 2 and 4 take the next two words, to the blue
+    # nodes 4 and 3
+    ([2**31, 1, 2**31, 1, 0, 2**32 - 1, 2**31], 4, [3, 3, 3, 3, 1, 3, 1, 3],
+     [1, 0, 1, 0, 0, 2, 0, 1]),
+])
+def test_walk_kernel_matches_reference_through_a_rejection(words, trials, bounds, drawn):
+    # the draws numpy makes for the bounds the walks meet, in stream order
+    assert _drawing(words).integers(0, np.array(bounds)).tolist() == drawn
+    rng, ref_rng = _drawing(words), _drawing(words)
+    total, total_sq, still_red = _walk_steps(BOUND_THREE, 0, trials, 40, rng)
+    steps, ref_still_red = _reference_walk_steps(BOUND_THREE, 0, trials, 40, ref_rng)
+    assert total == int(steps.sum())
+    assert total_sq == int((steps * steps).sum())
+    assert still_red == ref_still_red
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 def test_walk_kernel_rejects_a_degree_of_two_to_the_32():
@@ -392,13 +456,29 @@ def test_words_replicate_numpy():
     # enter with and without a pending half word and leave either way
     rng, ref_rng = (np.random.default_rng(12) for _ in range(2))
     pending = set()
-    for size in (0, 1, 1, 2, 5, 0, 4, 7, 1, 0, 600, 33, 2, 2, 0):
+    sizes = (0, 1, 1, 2, 5, 0, 4, 7, 1, 0, 600, 33, 2, 2, 0)
+    for size in sizes:
         pending.add(rng.bit_generator.state["has_uint32"])
-        words = _words(rng, size)
+        with _words(rng) as draw:
+            words = draw(size)
         expected = ref_rng.integers(0, 2**32, size=size, dtype=np.uint64)
         assert words.tolist() == expected.tolist()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert pending == {0, 1}
+    # one source for all of them carries the pending word from draw to draw
+    # and leaves the state once, on exit
+    for entry in (0, 1):
+        if rng.bit_generator.state["has_uint32"] != entry:
+            # one word takes or leaves a pending half word
+            for r in (rng, ref_rng):
+                r.integers(0, 2**32, dtype=np.uint64)
+        assert rng.bit_generator.state["has_uint32"] == entry
+        with _words(rng) as draw:
+            for size in sizes:
+                words = draw(size)
+                expected = ref_rng.integers(0, 2**32, size=size, dtype=np.uint64)
+                assert words.tolist() == expected.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_walk_kernel_peak_memory():
