@@ -72,19 +72,22 @@ def parse_gen_spec(spec: str, default_seed=None):
     def need(key, cast=int):
         if key not in kv:
             raise InvalidParameter(f"generator {family!r} needs {key}=")
-        return cast(kv[key])
+        try:
+            return cast(kv[key])
+        except ValueError:
+            raise InvalidParameter(
+                f"generator {family!r}: bad {key}={kv[key]!r}") from None
 
     if family == "path":
-        blue = [int(x) for x in need("blue", str).split(",")]
-        return gen_path(need("length"), blue)
+        return gen_path(need("length"), need("blue", _comma_list(int)))
     if family == "star_path_clique":
         return gen_star_path_clique(need("n"))
     if family == "lollipop":
         return gen_lollipop(need("path_len"), need("clique_size"))
-    seed = int(kv.get("seed", default_seed if default_seed is not None else 0))
+    kv.setdefault("seed", 0 if default_seed is None else default_seed)
     return gen_planted_two_community(
         need("n_red"), need("n_blue"),
-        need("p_in", float), need("p_out", float), seed,
+        need("p_in", float), need("p_out", float), need("seed"),
     )
 
 

@@ -10,20 +10,19 @@ of the allowed relative error.  Experiment mode relaxes everything and
 additionally subsamples the start nodes.
 
 One batched kernel runs every walk.  It reads the red rows through one
-walk table per estimate, which holds a walk at a red node as the slot where
-that node's row starts, and maps each slot of a red row to its row's degree
-and to its target's row start, or to −1 where the step is absorbed.  It
-keeps one int64 array of the row starts of the walks still red and sums the
-step counts of the others into exact integers.  Each step moves the live
-walks in fixed-size chunks, so its other memory is a few chunk-sized
-temporaries.  The first step gathers no degree: every walk is at the start
-node, whose degree and row start are shared scalars.  Its draws are those
-of one ``rng.integers(0, deg)`` over the live walks per step, in start
-order, reproduced exactly by a bulk draw of 32-bit words per chunk: two per
-raw 64-bit draw for PCG64, from one word source per start node that reads
-and writes the generator's state once, and through ``rng.integers``
-otherwise.  The spectral radius and the bounded-step expectation read the
-red block from ``exact._chain``, the package's one block builder.
+walk table per estimate, ``graph.augmented_view``, built from the base CSR
+and the shortcut counts.  It keeps one int64 array of the row starts of the
+walks still red and sums the step counts of the others into exact integers.
+Each step moves the live walks in fixed-size chunks, so its other memory is
+a few chunk-sized temporaries.  The first step gathers no degree: every
+walk is at the start node, whose degree and row start are shared scalars.
+Its draws are those of one ``rng.integers(0, deg)`` over the live walks per
+step, in start order, reproduced exactly by a bulk draw of 32-bit words per
+chunk: two per raw 64-bit draw for PCG64, from one word source per start
+node that reads and writes the generator's state once, and through
+``rng.integers`` otherwise.  The spectral radius and the bounded-step
+expectation read the red block from ``exact._chain``, the package's one
+block builder, with the shortcuts added to the red degrees.
 """
 
 from __future__ import annotations
@@ -98,16 +97,19 @@ def sample_count(walk_length: int, epsilon: float, delta: float, node_count: int
     )
 
 
-def spectral_radius(graph, tol: float = 1e-6, max_iter: int = 10000) -> float:
+def spectral_radius(instance, shortcuts=None, tol: float = 1e-6,
+                    max_iter: int = 10000) -> float:
     """Spectral radius of the degree-normalized red-red adjacency block.
 
     M = D^{-1/2} A D^{-1/2}, from the red chain's adjacency A and degrees D
-    (``exact._chain``).  Power iteration on the squared matrix, so both
-    extreme eigenvalues are captured.  Returns 0 when the red subgraph has
-    no edges.  The result is capped just below 1; weak chaining to the blue
-    group keeps the true value strictly below 1 on valid instances.
+    (``exact._chain``), the degrees counting the shortcuts.  Power iteration
+    on the squared matrix, so both extreme eigenvalues are captured.
+    Returns 0 when the red subgraph has no edges.  The result is capped just
+    below 1; weak chaining to the blue group keeps the true value strictly
+    below 1 on valid instances.
     """
-    adjacency, d = _chain(graph, graph.red_ids, graph.degrees)
+    adjacency, d = _chain(instance, instance.red_ids,
+                          instance.degrees + shortcut_counts(instance, shortcuts))
     if not adjacency.nnz:
         return 0.0
     r = d.size
@@ -288,42 +290,15 @@ def _integers(draw, high, size, screen, ones):
     return m.view(np.int64)
 
 
-def _walk_table(graph):
-    """The red rows of ``graph`` as the walk kernel reads them.
-
-    A walk at a red node is held as the slot where that node's row starts.
-    Returns (bound, target, first, largest, ones): per slot of a red row,
-    the row's degree as a uint64 bound for ``_integers`` and the row start
-    of the slot's target, or −1 where a step to it is absorbed; per red
-    node, in ``red_ids`` order, its row start; then the largest bound, and
-    whether some red row has degree 1.  Its size is the red rows' slot
-    count; blue rows are not read.
-    """
-    degrees = graph.degrees
-    # numpy takes a bound of 2**32 as a raw word, which _integers does not
-    assert int(degrees.max()) < 1 << 32, "a degree of 2**32 or more"
-    reds = graph.red_ids
-    red_degrees = degrees[reds]
-    first = np.zeros(reds.size + 1, dtype=np.int64)
-    np.cumsum(red_degrees, out=first[1:])
-    start = np.full(graph.n, -1, dtype=np.int64)
-    start[reds] = first[:-1]
-    slots = np.repeat(graph.indptr[reds] - first[:-1], red_degrees)
-    slots += np.arange(first[-1])
-    return (np.repeat(red_degrees.astype(np.uint64), red_degrees),
-            start[graph.indices[slots]], first[:-1],
-            int(red_degrees.max(initial=0)), bool((red_degrees == 1).any()))
-
-
-def _walk_steps(graph, start, trials, limit, rng, table=None):
+def _walk_steps(view, start, trials, limit, rng):
     """Batch of ``trials`` absorbing walks from ``start``, cut at ``limit`` steps.
 
     Returns (total, total_sq, still_red): the sum and the sum of squares of
     the walks' step counts, each walk counting the step at its first blue
     node or ``limit`` if it is not absorbed by then, and the number of walks
     still red at ``limit``.  The state is one array of the row starts of the
-    live walks, in start order, read through ``table`` (``_walk_table(graph)``,
-    built here if not given).  Each step draws one ``rng.integers(0, deg)``
+    live walks, in start order, read through the walk table ``view``
+    (``graph.AugmentedView``).  Each step draws one ``rng.integers(0, deg)``
     over them, reproduced by ``_integers`` from one word source
     (``_words``), so the generator's state is read and written once per
     call.  The drawn slot is the row start plus the draw, so one gather of
@@ -336,8 +311,8 @@ def _walk_steps(graph, start, trials, limit, rng, table=None):
     and the temporaries stay cache-sized.  A ``limit`` of 0 draws nothing.
     The sums are Python ints, so they are exact.
     """
-    bound, target, first, largest, ones = _walk_table(graph) if table is None else table
-    at = first[np.searchsorted(graph.red_ids, start)]
+    bound, target, largest, ones = view.bound, view.target, view.largest, view.ones
+    at = view.first[np.searchsorted(view.red_ids, start)]
     pos = np.empty(trials, dtype=np.int64)
     live = trials
     total = total_sq = 0
@@ -378,9 +353,9 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
 
     Deterministic for a fixed (instance, shortcuts, config): every start
     node draws from its own substream keyed by (seed, node index), so the
-    result does not depend on evaluation order.  The walks run on
-    ``augmented_view(instance, shortcuts)``, where a draw of a shortcut slot
-    absorbs the walk.
+    result does not depend on evaluation order.  The walks run on the walk
+    table ``augmented_view(instance, shortcuts)``, where a draw of a shortcut
+    slot absorbs the walk.
     """
     config = config or EstimatorConfig()
     if not 0 < config.epsilon < 1:
@@ -388,12 +363,12 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     if not 0 < config.delta < 1:
         raise InvalidParameter(f"delta must lie in (0, 1), got {config.delta}")
 
-    graph = augmented_view(instance, shortcuts)
+    view = augmented_view(instance, shortcuts)
     entropy = config.entropy()
 
     lam_hat = None
     if config.spectral_bound is None or config.guarantee:
-        lam_hat = spectral_radius(graph)
+        lam_hat = spectral_radius(instance, shortcuts)
     if config.spectral_bound is not None:
         if not 0 <= config.spectral_bound < 1:
             raise InvalidParameter("spectral bound must lie in [0, 1)")
@@ -407,7 +382,8 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         lam = lam_hat
 
     eps_eff = config.epsilon / 2.0 if config.guarantee else config.epsilon
-    mean_red_degree = float(graph.degrees[graph.red_ids].mean())
+    # the red rows' slot count is their degrees' sum, counting the shortcuts
+    mean_red_degree = view.bound.size / view.red_ids.size
     ell_formula = truncation_length(mean_red_degree, eps_eff, lam)
     if config.walk_length is not None:
         if config.walk_length < 1:
@@ -420,7 +396,7 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     else:
         ell = ell_formula
 
-    t_formula = sample_count(ell, eps_eff, config.delta, graph.n)
+    t_formula = sample_count(ell, eps_eff, config.delta, instance.n)
     if config.samples_per_node is not None:
         if config.samples_per_node < 1:
             raise InvalidParameter("samples per node must be >= 1")
@@ -441,7 +417,7 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     else:
         frac = 1.0 if config.guarantee else 0.1
 
-    reds = graph.red_ids
+    reds = instance.red_ids
     if frac >= 1.0:
         sampled = reds
     else:
@@ -449,12 +425,11 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         sub_rng = np.random.default_rng(np.random.SeedSequence(entropy + (1,)))
         sampled = np.sort(sub_rng.choice(reds, size=size, replace=False))
 
-    table = _walk_table(graph)
     per_node = np.empty(sampled.size)
     walk_steps = 0
     for j, u in enumerate(sampled):
         rng_u = np.random.default_rng(np.random.SeedSequence(entropy + (0, int(u))))
-        total, _, _ = _walk_steps(graph, int(u), trials, ell, rng_u, table)
+        total, _, _ = _walk_steps(view, int(u), trials, ell, rng_u)
         # an integer sum below 2**53 divided once: the bits of steps.mean()
         per_node[j] = total / trials
         walk_steps += total
@@ -472,13 +447,14 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     )
 
 
-def empirical_hitting(graph, nodes=None, trials: int = 10000, seed: int = 0,
+def empirical_hitting(instance, nodes=None, trials: int = 10000, seed: int = 0,
                       max_steps: int = 1_000_000):
     """Unbounded absorbing-walk sample means and standard deviations.
 
     A plain Monte-Carlo oracle for cross-checking the exact solver on small
-    instances, on the estimator's walk kernel.  ``max_steps`` is a budget,
-    not a truncation: a walk still red after it raises RuntimeError.  Returns
+    instances, on the estimator's walk kernel and a walk table without
+    shortcuts.  ``max_steps`` is a budget, not a truncation: a walk still
+    red after it raises RuntimeError.  Returns
     (means, stds) aligned with ``nodes`` (default: all red nodes); the stds
     use ``ddof=1``, from the kernel's exact integer sums.  Fewer than two
     trials, or a start node that is blue or out of range, raises
@@ -488,18 +464,17 @@ def empirical_hitting(graph, nodes=None, trials: int = 10000, seed: int = 0,
     if trials < 2:
         raise InvalidParameter(f"trials must be >= 2, got {trials}")
     if nodes is None:
-        nodes = graph.red_ids
+        nodes = instance.red_ids
     nodes = np.asarray(list(nodes), dtype=np.int64)
     for u in nodes:
-        if not 0 <= u < graph.n or not graph.is_red[u]:
+        if not 0 <= u < instance.n or not instance.is_red[u]:
             raise InvalidParameter(f"start node {u} is not a red node")
-    table = _walk_table(graph)
+    view = augmented_view(instance)
     means = np.empty(nodes.size)
     stds = np.empty(nodes.size)
     for j, u in enumerate(nodes):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, int(u))))
-        total, total_sq, still_red = _walk_steps(graph, int(u), trials, max_steps, rng,
-                                                 table)
+        total, total_sq, still_red = _walk_steps(view, int(u), trials, max_steps, rng)
         if still_red:
             raise RuntimeError("absorbing walk exceeded the step budget")
         means[j] = total / trials
@@ -517,7 +492,7 @@ def expected_bounded_steps(instance, shortcuts=None, length: int = 1) -> np.ndar
     the red chain's adjacency (``exact._chain``), each divided by the
     degrees; no sampling is involved.  This is the quantity the walk
     estimator is unbiased for, and it never exceeds the exact hitting time.
-    Shortcuts only add to the red degrees, so no overlay is built.
+    Shortcuts only add to the red degrees, so no walk table is built.
     """
     if length < 0:
         raise InvalidParameter(f"length must be >= 0, got {length}")

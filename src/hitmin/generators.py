@@ -115,6 +115,8 @@ def gen_planted_two_community(
         raise InvalidParameter("both communities need at least one node")
     if not (0 < p_out < p_in <= 1):
         raise InvalidParameter("need p_in > p_out > 0")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be nonnegative, got {seed}")
 
     n = n_red + n_blue
     is_red = np.arange(n) < n_red

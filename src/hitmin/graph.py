@@ -10,9 +10,12 @@ blue node it is not yet adjacent to, so red r can take ``capacity[r]`` more
 of them: ``blue_count - blue_degree[r]``, and 0 on blue nodes.
 ``shortcut_counts`` checks a multiset against that rule and returns how many
 shortcuts each node takes.  Shortcut bookkeeping stores only the red
-endpoints: the objectives depend on nothing else, so the exact solvers read
-only the counts, and no blue partner is ever chosen.  The walks read an
-``AugmentedView``, whose red rows end in one absorbing slot per shortcut.
+endpoints: the objectives depend on nothing else, so every consumer reads
+only the counts, and no blue partner is ever chosen.  The exact solves, the
+spectral radius and the bounded-step expectation take them as
+``degrees + shortcut_counts(...)``.  The walks read an ``AugmentedView``, a
+table of the red rows built from the base CSR and the counts, whose rows end
+in one absorbing slot per shortcut.
 """
 
 from __future__ import annotations
@@ -228,31 +231,43 @@ class ShortcutSet:
 
 
 class AugmentedView:
-    """Walk overlay: a base instance whose red rows end in absorbing slots.
+    """Walk table: the red rows of a base instance with shortcuts, as the
+    walk kernel reads them, for walks that start at red nodes and stop at
+    the first blue node they reach.
 
-    Valid only for walks that start at red nodes and stop at the first blue
-    node they reach.  Red row r is its base row followed by ``counts[r]``
-    copies of one blue node, so a walk at r draws one of
-    ``degrees[r] = base degree + counts[r]`` slots and stops on a shortcut
-    slot, whichever blue node the shortcut joins.  Blue rows are the base
-    rows: no such walk reads them.  The base is never modified, and with no
-    shortcuts the view shares its arrays.
+    A walk at a red node is held as the slot where that node's row starts.
+    Red row r is its base row followed by ``counts[r]`` absorbing slots.
+    Per slot, ``bound`` holds the row's degree as a uint64 bound for the
+    kernel's draws and ``target`` the row start of the slot's target, or −1
+    where a step to it is absorbed.  ``first`` holds each red node's row
+    start, in ``red_ids`` order; ``largest`` is the largest red degree and
+    ``ones`` whether some red row has degree 1.  The base is never modified.
     """
 
     def __init__(self, base, shortcuts):
-        counts = shortcut_counts(base, shortcuts)
-        self.n = base.n
-        self.is_red = base.is_red
-        self.red_ids = base.red_ids
-        self.indptr, self.indices, self.degrees = base.indptr, base.indices, base.degrees
-        if counts.any():
-            self.degrees = base.degrees + counts
-            self.indptr = base.indptr.copy()
-            np.cumsum(self.degrees, out=self.indptr[1:])
-            self.indices = np.insert(base.indices, np.repeat(base.indptr[1:], counts),
-                                     base.blue_ids[0])
-            for arr in (self.indptr, self.indices, self.degrees):
-                arr.setflags(write=False)
+        reds = base.red_ids
+        extra = shortcut_counts(base, shortcuts)[reds]
+        base_degrees = base.degrees[reds]
+        degrees = base_degrees + extra
+        # numpy takes a bound of 2**32 as a raw word, which the kernel's
+        # draws do not; checked before any array sized by the degrees
+        self.largest = int(degrees.max())
+        assert self.largest < 1 << 32, "a degree of 2**32 or more"
+        first = np.zeros(reds.size + 1, dtype=np.int64)
+        np.cumsum(degrees, out=first[1:])
+        start = np.full(base.n, -1, dtype=np.int64)
+        start[reds] = first[:-1]
+        # the red rows' base slots, row after row: each targets its
+        # neighbour's row start, −1 for a blue one; then the shortcut slots
+        ends = np.cumsum(base_degrees)
+        slots = np.repeat(base.indptr[reds] - (ends - base_degrees), base_degrees)
+        slots += np.arange(slots.size)
+        self.target = np.insert(start[base.indices[slots]], np.repeat(ends, extra), -1)
+        self.bound = np.repeat(degrees.astype(np.uint64), degrees)
+        self.red_ids, self.first = reds, first[:-1]
+        self.ones = bool((degrees == 1).any())
+        for arr in (self.bound, self.target, self.first):
+            arr.setflags(write=False)
 
 
 def _check_edges(n, u, v):
@@ -295,7 +310,7 @@ def block_entries(graph, nodes):
 
 
 def augmented_view(instance, shortcuts=None) -> AugmentedView:
-    """Walk overlay of ``shortcuts`` on ``instance``; see ``AugmentedView``."""
+    """Walk table of ``instance`` with ``shortcuts``; see ``AugmentedView``."""
     return AugmentedView(instance, shortcuts)
 
 

@@ -221,6 +221,10 @@ def test_parse_gen_spec_families():
     assert inst.n == 6
     inst = parse_gen_spec("star_path_clique;n=16")
     assert inst.n == 20
+    # blue= is a comma list read as the flags read theirs: a trailing comma
+    # is dropped
+    assert list(parse_gen_spec("path;length=5;blue=2,").blue_ids) == [2]
+    assert list(parse_gen_spec("path;length=5;blue=1, 3").blue_ids) == [1, 3]
 
 
 def test_parse_gen_spec_rejects_malformed():
@@ -237,6 +241,27 @@ def test_parse_gen_spec_rejects_malformed():
         parse_gen_spec("star-path-clique;n=16")
     with pytest.raises(InvalidParameter):
         parse_gen_spec("planted_two_community;n_red=5;n_blue=5;p_in=0.5;p_out=0.2")
+    # a value that does not parse names its family and field
+    for spec, message in (
+        ("path;length=abc;blue=2", "generator 'path': bad length='abc'"),
+        ("path;length=5;blue=2,x", "generator 'path': bad blue='2,x'"),
+        ("planted;n_red=4;n_blue=4;p_in=x;p_out=0.1", "generator 'planted': bad p_in='x'"),
+        ("planted;n_red=4;n_blue=4;p_in=0.5;p_out=0.1;seed=z",
+         "generator 'planted': bad seed='z'"),
+        ("lollipop;path_len=3;clique_size=3.5",
+         "generator 'lollipop': bad clique_size='3.5'"),
+        # SeedSequence takes no negative seed
+        ("planted;n_red=4;n_blue=4;p_in=0.5;p_out=0.1;seed=-3",
+         "seed must be nonnegative, got -3"),
+    ):
+        with pytest.raises(InvalidParameter) as caught:
+            parse_gen_spec(spec)
+        assert str(caught.value) == message
+
+
+def test_malformed_gen_spec_is_a_clean_error(capsys):
+    assert main(["eval", "--gen", "planted;n_red=4;n_blue=4;p_in=x;p_out=0.1"]) == 2
+    assert capsys.readouterr().err == "error: generator 'planted': bad p_in='x'\n"
 
 
 def test_run_sweep_records_assertion_failures_and_continues(tmp_path, monkeypatch):

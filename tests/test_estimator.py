@@ -10,6 +10,7 @@ from hitmin import (
     BipartiteInstance,
     EstimatorConfig,
     InvalidParameter,
+    ShortcutSet,
     augmented_view,
     empirical_hitting,
     estimate_mean_hitting,
@@ -20,6 +21,7 @@ from hitmin import (
     greedy_plus,
     hitting_to_blue,
     sample_count,
+    shortcut_counts,
     spectral_radius,
     truncation_length,
 )
@@ -64,6 +66,36 @@ def test_spectral_radius_paths(path3, path5):
 
 def test_spectral_radius_no_red_red_edges():
     assert spectral_radius(complete_bipartite(2, 2)) == 0.0
+
+
+def _with_real_edges(instance, shortcuts):
+    # each shortcut as a real edge from its endpoint to a distinct blue node
+    # the endpoint is not yet joined to, as verify's endpoint-invariance
+    # check builds them
+    edges = list(instance.iter_edges())
+    for r, count in ShortcutSet.coerce(shortcuts).counts().items():
+        joined = set(instance.neighbors(r).tolist())
+        free = [int(b) for b in instance.blue_ids if int(b) not in joined]
+        edges += [(r, b) for b in free[:count]]
+    return BipartiteInstance(instance.n, edges, instance.is_red)
+
+
+@pytest.mark.parametrize("instance, shortcuts", [
+    (gen_path(5, [2]), (0,)),
+    (gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)),
+    # the blue node 0 ends the path; the clique's far end takes the shortcut
+    (gen_lollipop(5, 3), (7,)),
+])
+def test_shortcuts_enter_the_radius_and_bounded_steps_as_degrees(instance, shortcuts):
+    # a shortcut changes only its endpoint's degree, so a real edge to a
+    # free blue node gives the same red block, bit for bit
+    real = _with_real_edges(instance, shortcuts)
+    assert real.edge_count == instance.edge_count + len(shortcuts)
+    assert spectral_radius(instance, shortcuts) == spectral_radius(real)
+    for length in (1, 6, 40):
+        steps = expected_bounded_steps(instance, shortcuts, length)
+        np.testing.assert_array_equal(steps, expected_bounded_steps(real, length=length))
+    assert not np.array_equal(steps, expected_bounded_steps(instance, length=40))
 
 
 def test_walk_length_uses_mean_red_degree(path5):
@@ -214,7 +246,7 @@ def test_zero_step_limit_draws_nothing(path5, monkeypatch):
     graph = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
     for start in (0, 1, 2):
         rng, fresh = np.random.default_rng(start), np.random.default_rng(start)
-        assert _walk_steps(graph, start, 10, 0, rng) == (0, 0, 10)
+        assert _walk_steps(augmented_view(graph), start, 10, 0, rng) == (0, 0, 10)
         assert rng.bit_generator.state == fresh.bit_generator.state
     made = []
     default_rng = np.random.default_rng
@@ -240,18 +272,22 @@ def test_empirical_hitting_needs_two_trials(path5):
     assert means[0] >= 1 and np.isfinite(stds[0])
 
 
-def _reference_walk_steps(graph, start, trials, limit, rng):
-    # the kernel that kept every walk's position and step count
-    indptr, indices, is_red = graph.indptr, graph.indices, graph.is_red
+def _reference_walk_steps(instance, shortcuts, start, trials, limit, rng):
+    # the kernel that kept every walk's position and step count, on the
+    # base CSR: a node draws among its base degree plus its shortcut count,
+    # and a draw past its base row takes a shortcut, which absorbs the walk
+    indptr, indices, is_red = instance.indptr, instance.indices, instance.is_red
+    base = instance.degrees
+    degrees = base + shortcut_counts(instance, shortcuts)
     pos = np.full(trials, start, dtype=np.int64)
     steps = np.full(trials, limit, dtype=np.int64)
     alive = np.arange(trials)
     for step in range(1, limit + 1):
         cur = pos[alive]
-        lo = indptr[cur]
-        deg = indptr[cur + 1] - lo
-        nxt = indices[lo + rng.integers(0, deg)]
-        hit = ~is_red[nxt]
+        drawn = rng.integers(0, degrees[cur])
+        shortcut = drawn >= base[cur]
+        nxt = indices[np.where(shortcut, 0, indptr[cur] + drawn)]
+        hit = shortcut | ~is_red[nxt]
         if hit.any():
             steps[alive[hit]] = step
             keep = ~hit
@@ -262,6 +298,15 @@ def _reference_walk_steps(graph, start, trials, limit, rng):
         if alive.size == 0:
             break
     return steps, alive.size
+
+
+def _kernel_and_reference(graph, start, trials, limit, rng, ref_rng):
+    # graph is an instance, or an (instance, shortcuts) pair; returns the
+    # kernel's (total, total_sq, still_red) and the reference's (steps,
+    # still_red)
+    instance, shortcuts = graph if isinstance(graph, tuple) else (graph, None)
+    return (_walk_steps(augmented_view(instance, shortcuts), start, trials, limit, rng),
+            _reference_walk_steps(instance, shortcuts, start, trials, limit, ref_rng))
 
 
 @pytest.mark.parametrize("graph, start, limit, survivors", [
@@ -280,8 +325,8 @@ def test_walk_kernel_matches_reference(graph, start, limit, survivors):
     trials = 3000
     rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((6, start)))
                     for _ in range(2))
-    total, total_sq, still_red = _walk_steps(graph, start, trials, limit, rng)
-    steps, ref_still_red = _reference_walk_steps(graph, start, trials, limit, ref_rng)
+    (total, total_sq, still_red), (steps, ref_still_red) = _kernel_and_reference(
+        graph, start, trials, limit, rng, ref_rng)
     assert total == int(steps.sum())
     assert total_sq == int((steps * steps).sum())
     assert still_red == ref_still_red
@@ -378,8 +423,8 @@ def test_walk_kernel_matches_reference_through_a_rejection(words, trials, bounds
     # the draws numpy makes for the bounds the walks meet, in stream order
     assert _drawing(words).integers(0, np.array(bounds)).tolist() == drawn
     rng, ref_rng = _drawing(words), _drawing(words)
-    total, total_sq, still_red = _walk_steps(BOUND_THREE, 0, trials, 40, rng)
-    steps, ref_still_red = _reference_walk_steps(BOUND_THREE, 0, trials, 40, ref_rng)
+    (total, total_sq, still_red), (steps, ref_still_red) = _kernel_and_reference(
+        BOUND_THREE, 0, trials, 40, rng, ref_rng)
     assert total == int(steps.sum())
     assert total_sq == int((steps * steps).sum())
     assert still_red == ref_still_red
@@ -387,11 +432,13 @@ def test_walk_kernel_matches_reference_through_a_rejection(words, trials, bounds
 
 
 def test_walk_kernel_rejects_a_degree_of_two_to_the_32():
-    # numpy draws a bound of 2**32 as a raw word, outside the replica
-    graph = SimpleNamespace(indptr=np.array([0, 2**32]), indices=np.zeros(0, np.int64),
-                            is_red=np.array([True]), degrees=np.array([2**32]))
+    # numpy draws a bound of 2**32 as a raw word, outside the replica; the
+    # table builder refuses it before it sizes an array by the degrees
+    graph = SimpleNamespace(n=1, indptr=np.array([0, 2**32]), indices=np.zeros(0, np.int64),
+                            is_red=np.array([True]), red_ids=np.array([0]),
+                            degrees=np.array([2**32]), capacity=np.array([0]))
     with pytest.raises(AssertionError):
-        _walk_steps(graph, 0, 4, 1, np.random.default_rng(0))
+        augmented_view(graph)
 
 
 @pytest.mark.parametrize("graph, start, limit", [
@@ -401,15 +448,15 @@ def test_walk_kernel_rejects_a_degree_of_two_to_the_32():
     # most walks survive three steps: survivors compact across chunks
     (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 1, 3),
     # shortcut slots at nodes 0 and 2; node 1 keeps its one neighbour
-    (augmented_view(gen_planted_two_community(4, 4, 0.6, 0.3, 4), (0, 2, 2)), 1, 40),
-    (augmented_view(gen_planted_two_community(4, 4, 0.6, 0.3, 4), (0, 2, 2)), 0, 5),
+    ((gen_planted_two_community(4, 4, 0.6, 0.3, 4), (0, 2, 2)), 1, 40),
+    ((gen_planted_two_community(4, 4, 0.6, 0.3, 4), (0, 2, 2)), 0, 5),
 ])
 def test_walk_kernel_matches_reference_across_chunks(graph, start, limit):
     trials = 2 * _CHUNK + 17
     rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((7, start, limit)))
                     for _ in range(2))
-    total, total_sq, still_red = _walk_steps(graph, start, trials, limit, rng)
-    steps, ref_still_red = _reference_walk_steps(graph, start, trials, limit, ref_rng)
+    (total, total_sq, still_red), (steps, ref_still_red) = _kernel_and_reference(
+        graph, start, trials, limit, rng, ref_rng)
     assert total == int(steps.sum())
     assert total_sq == int((steps * steps).sum())
     assert still_red == ref_still_red
@@ -435,15 +482,15 @@ def _mt19937(seed):
     (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 2, 40, 2 * _CHUNK + 17),
     (gen_lollipop(5, 3), 7, 5000, 3000),
     # red rows that end in blue shortcut slots, one of them two deep
-    (augmented_view(gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)), 1, 60,
+    ((gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)), 1, 60,
      2 * _CHUNK + 17),
-    (augmented_view(gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)), 5, 3, 3000),
+    ((gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)), 5, 3, 3000),
 ])
 def test_walk_kernel_matches_reference_from_any_generator(make_rng, graph, start, limit,
                                                           trials):
     rng, ref_rng = make_rng(start), make_rng(start)
-    total, total_sq, still_red = _walk_steps(graph, start, trials, limit, rng)
-    steps, ref_still_red = _reference_walk_steps(graph, start, trials, limit, ref_rng)
+    (total, total_sq, still_red), (steps, ref_still_red) = _kernel_and_reference(
+        graph, start, trials, limit, rng, ref_rng)
     assert total == int(steps.sum())
     assert total_sq == int((steps * steps).sum())
     assert still_red == ref_still_red
@@ -482,12 +529,12 @@ def test_words_replicate_numpy():
 
 
 def test_walk_kernel_peak_memory():
-    graph = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
+    view = augmented_view(gen_planted_two_community(4, 4, 0.6, 0.3, 4))
     trials = 200_000
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        _walk_steps(graph, 2, trials, 30, rng)
+        _walk_steps(view, 2, trials, 30, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -75,18 +75,6 @@ def test_shortcut_coerce():
     assert ShortcutSet.coerce(None).endpoints == ()
 
 
-def test_augmented_view_adds_lowest_free_blue(path5):
-    view = augmented_view(path5, ShortcutSet((0,)))
-    assert isinstance(view, AugmentedView)
-    # the slot is the lowest blue node, here 2, the one blue 0 is not joined to
-    assert list(view.indices[view.indptr[0]:view.indptr[1]]) == [1, 2]
-    assert list(view.degrees) == [2, 2, 2, 2, 1]
-    # blue rows and the base are untouched
-    assert list(view.indices[view.indptr[2]:view.indptr[3]]) == [1, 3]
-    assert path5.edge_count == 4
-    assert list(path5.degrees) == [1, 2, 2, 2, 1]
-
-
 def test_augmented_view_capacity(path5):
     # node 0 has a single blue partner available, a second copy cannot land
     with pytest.raises(CapacityExceeded):
@@ -145,27 +133,52 @@ def _two_blue_instance():
     return BipartiteInstance(6, edges, [True, True, True, False, False, False])
 
 
-def test_augmented_view_splices_csr_rows():
+def _loop_table(inst, shortcuts):
+    # the walk table row by row: each red row's neighbours as their row
+    # starts, -1 for a blue one, then one -1 per shortcut
+    counts = ShortcutSet(shortcuts).counts()
+    degree = {r: int(inst.degrees[r]) + counts[r] for r in inst.red_ids.tolist()}
+    first, at = {}, 0
+    for r, d in degree.items():
+        first[r], at = at, at + d
+    bound, target = [], []
+    for r, d in degree.items():
+        bound += [d] * d
+        target += [first.get(int(w), -1) for w in inst.neighbors(r)] + [-1] * counts[r]
+    return bound, target, list(first.values()), list(degree.values())
+
+
+@pytest.mark.parametrize("make, shortcuts", [
+    (lambda: gen_path(5, [2]), (0,)),
+    (_two_blue_instance, (1, 0, 0)),
+    # node 1 has degree 1, so some bound is 1
+    (lambda: gen_planted_two_community(4, 4, 0.6, 0.3, 4), (0, 2, 2)),
+], ids=["path5", "two_blue", "planted4"])
+def test_augmented_view_matches_a_loop_over_neighbors(make, shortcuts):
+    inst = make()
+    view = augmented_view(inst, ShortcutSet(shortcuts))
+    assert isinstance(view, AugmentedView)
+    bound, target, first, degrees = _loop_table(inst, shortcuts)
+    assert view.bound.dtype == np.uint64 and view.bound.tolist() == bound
+    assert view.target.dtype == np.int64 and view.target.tolist() == target
+    assert view.first.dtype == np.int64 and view.first.tolist() == first
+    np.testing.assert_array_equal(view.red_ids, inst.red_ids)
+    assert view.largest == max(degrees)
+    assert view.ones == (1 in degrees)
+
+
+def test_augmented_view_leaves_the_base_untouched():
     base = _two_blue_instance()
     indptr, indices = base.indptr.copy(), base.indices.copy()
     view = augmented_view(base, ShortcutSet((1, 0, 0)))
-    assert isinstance(view, AugmentedView)
-    # red rows 0, 1, 2: the base row, then one blue slot per shortcut;
-    # blue rows 3, 4, 5 are the base rows
-    for v, extra in enumerate((2, 1, 0, 0, 0, 0)):
-        row = view.indices[view.indptr[v]:view.indptr[v + 1]]
-        d = base.degrees[v]
-        np.testing.assert_array_equal(row[:d], base.neighbors(v))
-        assert row.size == d + extra
-        assert not view.is_red[row[d:]].any()
-    assert list(view.degrees) == [4, 3, 2, 2, 2, 2]
     np.testing.assert_array_equal(base.indptr, indptr)
     np.testing.assert_array_equal(base.indices, indices)
     assert list(base.degrees) == [2] * 6
-    for arr in (base.indptr, base.indices, view.indptr, view.indices, view.degrees):
+    assert base.edge_count == 6
+    for arr in (base.indptr, base.indices, base.degrees,
+                view.bound, view.target, view.first):
         assert not arr.flags.writeable
     assert np.shares_memory(base.neighbors(3), base.indices)
-    assert augmented_view(base).indices is base.indices
 
 
 def test_block_entries_match_a_loop_over_rows():
@@ -177,11 +190,6 @@ def test_block_entries_match_a_loop_over_rows():
                   for w in inst.neighbors(v) if int(w) in pos]
         rows, cols = block_entries(inst, nodes)
         assert list(zip(rows.tolist(), cols.tolist())) == expect
-    # a view's shortcut slots lie outside the red block
-    view = augmented_view(inst, ShortcutSet((r,)))
-    for got, want in zip(block_entries(view, view.red_ids),
-                         block_entries(inst, inst.red_ids)):
-        np.testing.assert_array_equal(got, want)
 
 
 def _csr(graph):
