@@ -242,6 +242,8 @@ def run_sweep(instance, args):
             raise InvalidParameter(f"budget fraction {frac} outside (0, 1]")
     if args.reps < 1:
         raise InvalidParameter(f"reps must be >= 1, got {args.reps}")
+    if args.seed is not None and args.seed < 0:
+        raise InvalidParameter(f"seed must be nonnegative, got {args.seed}")
 
     memo = _SweepMemo(instance)
     rows = []

@@ -2,17 +2,28 @@
 
 The estimator replaces each exact linear solve with bounded absorbing
 random walks.  The walk bound comes from a geometric-tail argument driven
-by the spectral radius of the degree-normalized red-red adjacency block;
-the per-node trial count comes from a Hoeffding bound on walks with values
-in [0, walk_length].  In guarantee mode both knobs are derived from
-epsilon/2 so that truncation error and sampling error each stay within half
-of the allowed relative error.  Experiment mode relaxes everything and
-additionally subsamples the start nodes.
+by the spectral radius of the degree-normalized red-red adjacency block.
+In guarantee mode both error shares are derived from epsilon/2 so that
+truncation error and sampling error each stay within half of the allowed
+relative error.  Experiment mode relaxes everything and additionally
+subsamples the start nodes.
+
+The per-node trial count follows one of two contracts
+(``EstimatorConfig.contract``).  Contract 1 takes Hoeffding's count for
+walks with values in [0, walk_length] everywhere.  Contract 2, the
+default, sizes guarantee-mode estimates whose count comes from the formula
+in two stages: a pilot of walks per start node bounds each node's variance
+by Maurer and Pontil's empirical bound ("Empirical Bernstein bounds and
+sample variance penalization", COLT 2009, Thm 10), and one count for every
+node from Bernstein's inequality, capped at Hoeffding's, draws the walks
+behind the means.  ``estimate_mean_hitting`` states and proves the
+guarantee.  Everything else draws the same walks under both contracts.
 
 One batched kernel runs every walk.  It reads the red rows through one
 walk table per estimate, ``graph.augmented_view``, built from the base CSR
 and the shortcut counts.  It keeps one int64 array of the row starts of the
-walks still red and sums the step counts of the others into exact integers.
+walks still red and sums the step counts of the others, and their squares,
+into exact integers.
 Each step moves the live walks in fixed-size chunks, so its other memory is
 a few chunk-sized temporaries.  The first step gathers no degree: every
 walk is at the start node, whose degree and row start are shared scalars.
@@ -20,9 +31,10 @@ Its draws are those of one ``rng.integers(0, deg)`` over the live walks per
 step, in start order, reproduced exactly by a bulk draw of 32-bit words per
 chunk: two per raw 64-bit draw for PCG64, from one word source per start
 node that reads and writes the generator's state once, and through
-``rng.integers`` otherwise.  The spectral radius and the bounded-step
-expectation read the red block from ``exact._chain``, the package's one
-block builder, with the shortcuts added to the red degrees.
+``rng.integers`` otherwise.  The spectral radius reads the red block's
+entries from ``graph.block_entries`` and the bounded-step expectation reads
+the block from ``exact._chain``, each with the shortcuts added to the red
+degrees.
 """
 
 from __future__ import annotations
@@ -34,11 +46,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InvalidParameter
 from .exact import _chain
-from .graph import augmented_view, shortcut_counts
+from .graph import augmented_view, block_entries, shortcut_counts
 
 __all__ = [
     "EstimatorConfig",
@@ -56,6 +67,10 @@ _SPECTRAL_CAP = 1.0 - 1e-9
 _CHUNK = 1 << 15
 # index of the low 32-bit word within a uint64
 _LOW_WORD = 0 if sys.byteorder == "little" else 1
+# a two-stage estimate's pilot: at least _PILOT_MIN walks per start node,
+# and at least 1/_PILOT_SHARE of Hoeffding's count
+_PILOT_MIN = 1024
+_PILOT_SHARE = 8
 
 
 def truncation_length(mean_red_degree: float, epsilon: float, spectral_bound: float) -> int:
@@ -97,33 +112,64 @@ def sample_count(walk_length: int, epsilon: float, delta: float, node_count: int
     )
 
 
+def _pilot_count(hoeffding, walk_length, deviation, delta, node_count):
+    """(pilot, cap) of a two-stage estimate; see ``estimate_mean_hitting``.
+
+    ``cap`` is Hoeffding's count for ``deviation`` at failure delta/(2n).
+    The pilot is max(1024, ceil(hoeffding/8)) walks, or 0 where it would
+    reach the cap, so that the estimate falls back to ``hoeffding`` walks.
+    """
+    cap = math.ceil(walk_length ** 2 * math.log(4.0 * node_count / delta)
+                    / (2.0 * deviation ** 2))
+    pilot = max(_PILOT_MIN, math.ceil(hoeffding / _PILOT_SHARE))
+    return (pilot if pilot < cap else 0), cap
+
+
+def _bernstein_count(spread, pilot, walk_length, deviation, delta, node_count):
+    """Bernstein's count for ``deviation`` at failure delta/(2n), from the
+    largest pilot sample std ``spread`` raised by Maurer and Pontil's bound
+    at delta/(2n); see ``estimate_mean_hitting``."""
+    sigma = spread + walk_length * math.sqrt(2.0 * math.log(2.0 * node_count / delta)
+                                             / (pilot - 1))
+    return math.ceil((2.0 * sigma ** 2 + 2.0 * walk_length * deviation / 3.0)
+                     * math.log(4.0 * node_count / delta) / deviation ** 2)
+
+
+def _sample_std(trials, total, total_sq):
+    """Sample std (ddof 1) of ``trials`` integers from their exact integer
+    sum and sum of squares, rounded once."""
+    return math.sqrt(Fraction(trials * total_sq - total * total, trials * (trials - 1)))
+
+
 def spectral_radius(instance, shortcuts=None, tol: float = 1e-6,
                     max_iter: int = 10000) -> float:
     """Spectral radius of the degree-normalized red-red adjacency block.
 
-    M = D^{-1/2} A D^{-1/2}, from the red chain's adjacency A and degrees D
-    (``exact._chain``), the degrees counting the shortcuts.  Power iteration
-    on the squared matrix, so both extreme eigenvalues are captured.
+    M = D^{-1/2} A D^{-1/2}, from the red block's entries
+    (``graph.block_entries``) and degrees D counting the shortcuts.  Power
+    iteration on the squared matrix, so both extreme eigenvalues are
+    captured.  Each product with M is one ``np.bincount`` over the entries,
+    which sums each row in CSR order, as a sparse CSR product does.
     Returns 0 when the red subgraph has no edges.  The result is capped just
     below 1; weak chaining to the blue group keeps the true value strictly
     below 1 on valid instances.
     """
-    adjacency, d = _chain(instance, instance.red_ids,
-                          instance.degrees + shortcut_counts(instance, shortcuts))
-    if not adjacency.nnz:
+    reds = instance.red_ids
+    rows, cols = block_entries(instance, reds)
+    if not rows.size:
         return 0.0
-    r = d.size
+    r = reds.size
+    d = (instance.degrees + shortcut_counts(instance, shortcuts))[reds].astype(float)
     inv_sqrt = 1.0 / np.sqrt(d)
-    rows = np.repeat(np.arange(r), np.diff(adjacency.indptr))
-    vals = inv_sqrt[rows] * inv_sqrt[adjacency.indices]
-    M = scipy.sparse.csr_matrix((vals, adjacency.indices, adjacency.indptr), shape=(r, r))
+    vals = inv_sqrt[rows] * inv_sqrt[cols]
 
     rng = np.random.default_rng(0x5EED)
     v = rng.random(r)
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(max_iter):
-        w = M @ (M @ v)
+        half = np.bincount(rows, vals * v[cols], minlength=r)
+        w = np.bincount(rows, vals * half[cols], minlength=r)
         nrm = float(np.linalg.norm(w))
         if nrm <= 0.0:
             return 0.0
@@ -147,7 +193,10 @@ class EstimatorConfig:
     ``guarantee`` is set, 0.1 otherwise).  Guarantee mode insists on safe
     values: full sampling, a spectral override no smaller than the computed
     radius, and walk/trial overrides no smaller than the formulas with
-    epsilon/2.
+    epsilon/2.  ``contract`` picks the rule behind a guarantee-mode trial
+    count taken from the formula: 1 for Hoeffding's count, 2 (the default)
+    for the two-stage count of ``estimate_mean_hitting``.  It changes
+    nothing else.
     """
 
     epsilon: float = 0.1
@@ -158,6 +207,7 @@ class EstimatorConfig:
     subsample_fraction: float | None = None
     seed: int | tuple = 0
     guarantee: bool = False
+    contract: int = 2
 
     def entropy(self) -> tuple:
         if isinstance(self.seed, tuple):
@@ -176,9 +226,13 @@ class EstimatorConfig:
 class Estimate:
     """Result of one sampled evaluation, with the resolved knobs attached.
 
-    ``walk_steps`` is the exact number of steps the walks took, the sum of
-    min(T, walk_length) over all of them.  An estimate is ``degenerate``
-    when its walks were cut at one step, so every walk counts exactly 1.
+    ``samples_per_node`` walks per sampled node give ``per_node_means``,
+    and ``walk_steps`` is the exact number of steps they took, the sum of
+    min(T, walk_length) over all of them.  A two-stage estimate first ran
+    ``pilot_samples`` walks per node, taking ``pilot_steps`` steps in all,
+    which only size the second stage; both are 0 for every other estimate.
+    An estimate is ``degenerate`` when its walks were cut at one step, so
+    every walk counts exactly 1.
     """
 
     value: float
@@ -190,6 +244,8 @@ class Estimate:
     per_node_means: np.ndarray
     config: EstimatorConfig
     walk_steps: int
+    pilot_samples: int
+    pilot_steps: int
 
     @property
     def degenerate(self) -> bool:
@@ -356,12 +412,56 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     result does not depend on evaluation order.  The walks run on the walk
     table ``augmented_view(instance, shortcuts)``, where a draw of a shortcut
     slot absorbs the walk.
+
+    The guarantee.  Let ℓ be the walk length, a = epsilon/2 and n the node
+    count of ``instance``.  A walk from red node u counts X = min(T, ℓ)
+    steps, with mean μ_u (``expected_bounded_steps``) and variance σ_u².  In
+    guarantee mode, with probability at least 1 − δ, every per-node mean
+    lies within a of its μ_u, and so the estimate within a of their mean.
+    The truncation's share of the error is ``truncation_length``'s.
+
+    Contract 1, and contract 2 where the pilot would reach the cap below,
+    draw Hoeffding's count t_H = ⌈ℓ²/a²·ln(2n/δ)⌉ (``sample_count`` at
+    epsilon/2).  Hoeffding's inequality for values in [0, ℓ],
+    P(|X̄ − μ| ≥ s) ≤ 2·exp(−2ts²/ℓ²), puts each node beyond a/√2 with
+    probability at most δ/n, and a union bound over the at most n start
+    nodes gives the statement, at the tighter deviation a/√2.
+
+    Contract 2, where the count comes from the formula, runs two stages on
+    each node's generator.  The cap is Hoeffding's count at deviation a and
+    failure δ/(2n), t_cap = ⌈ℓ²·ln(4n/δ)/(2a²)⌉, and the pilot is
+    t0 = max(1024, ⌈t_H/8⌉) walks, or none where t0 ≥ t_cap.
+
+    1. Pilot.  Each node's t0 walks give its sample variance V̂_u (ddof 1).
+       For t0 ≥ 2 independent values in [0, 1], Maurer and Pontil
+       ("Empirical Bernstein bounds and sample variance penalization", COLT
+       2009, Thm 10) give P(σ > √V̂ + √(2·ln(1/δ')/(t0 − 1))) ≤ δ'.  Scaled
+       to [0, ℓ], at δ' = δ/(2n): σ_u ≤ σ̄_u = √V̂_u + ℓ·√(2·ln(2n/δ)/(t0 − 1))
+       except with probability at most δ/(2n).
+    2. Second stage.  Every node draws t2 = min(t_cap,
+       max_u ⌈(2σ̄_u² + 2ℓa/3)·ln(4n/δ)/a²⌉) more walks, and only these
+       give its mean.  They take the words their generator draws after the
+       pilot's, so given all the pilots, which fix t2, they are independent
+       draws of X.  Bernstein's inequality for t such draws, each within ℓ
+       of μ, is P(|X̄ − μ| ≥ a) ≤ 2·exp(−t·a²/(2σ² + 2ℓa/3)).  Where
+       σ_u ≤ σ̄_u, t2 is at least the count this needs at δ/(2n) with σ_u,
+       or is t_cap, which Hoeffding's inequality needs at δ/(2n) with no
+       variance term.  So a node misses by a with probability at most
+       δ/(2n) given the pilots, on the event σ_u ≤ σ̄_u.
+    3. A union bound over the at most n start nodes and both events of each
+       gives failure at most n·δ/(2n) + n·δ/(2n) = δ.
+
+    Since Hoeffding's ℓ² stands where the two-stage count has 2σ̄_u², the
+    second stage is about 2·max σ̄_u²/ℓ² of t_H, and bounded step counts
+    vary far less than their range.
     """
     config = config or EstimatorConfig()
     if not 0 < config.epsilon < 1:
         raise InvalidParameter(f"epsilon must lie in (0, 1), got {config.epsilon}")
     if not 0 < config.delta < 1:
         raise InvalidParameter(f"delta must lie in (0, 1), got {config.delta}")
+    if config.contract not in (1, 2):
+        raise InvalidParameter(f"estimator contract must be 1 or 2, got {config.contract}")
 
     view = augmented_view(instance, shortcuts)
     entropy = config.entropy()
@@ -425,10 +525,24 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         sub_rng = np.random.default_rng(np.random.SeedSequence(entropy + (1,)))
         sampled = np.sort(sub_rng.choice(reds, size=size, replace=False))
 
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy + (0, int(u))))
+            for u in sampled]
+    pilot = pilot_steps = 0
+    if config.contract == 2 and config.guarantee and config.samples_per_node is None:
+        pilot, cap = _pilot_count(trials, ell, eps_eff, config.delta, instance.n)
+    if pilot:
+        # the largest pilot std gives every node's second-stage count
+        spread = 0.0
+        for u, rng_u in zip(sampled, rngs):
+            total, total_sq, _ = _walk_steps(view, int(u), pilot, ell, rng_u)
+            pilot_steps += total
+            spread = max(spread, _sample_std(pilot, total, total_sq))
+        trials = min(cap, _bernstein_count(spread, pilot, ell, eps_eff, config.delta,
+                                           instance.n))
+
     per_node = np.empty(sampled.size)
     walk_steps = 0
-    for j, u in enumerate(sampled):
-        rng_u = np.random.default_rng(np.random.SeedSequence(entropy + (0, int(u))))
+    for j, (u, rng_u) in enumerate(zip(sampled, rngs)):
         total, _, _ = _walk_steps(view, int(u), trials, ell, rng_u)
         # an integer sum below 2**53 divided once: the bits of steps.mean()
         per_node[j] = total / trials
@@ -444,6 +558,8 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         per_node_means=per_node,
         config=config,
         walk_steps=walk_steps,
+        pilot_samples=pilot,
+        pilot_steps=pilot_steps,
     )
 
 
@@ -478,8 +594,7 @@ def empirical_hitting(instance, nodes=None, trials: int = 10000, seed: int = 0,
         if still_red:
             raise RuntimeError("absorbing walk exceeded the step budget")
         means[j] = total / trials
-        stds[j] = math.sqrt(Fraction(trials * total_sq - total * total,
-                                     trials * (trials - 1)))
+        stds[j] = _sample_std(trials, total, total_sq)
     return means, stds
 
 

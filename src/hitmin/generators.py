@@ -104,7 +104,7 @@ def gen_planted_two_community(
     """Two dense communities (one per color) with sparse cross edges.
 
     Edges appear independently: probability p_in inside a community and
-    p_out across.  Requires p_in > p_out > 0.  Resamples up to
+    p_out across.  Requires 0 < p_out < p_in <= 1.  Resamples up to
     ``max_attempts`` times until the graph comes out connected; no edges are
     patched in afterwards.  Attempt a draws from
     ``SeedSequence((seed, a))`` one uniform value per pair in
@@ -114,7 +114,8 @@ def gen_planted_two_community(
     if n_red < 1 or n_blue < 1:
         raise InvalidParameter("both communities need at least one node")
     if not (0 < p_out < p_in <= 1):
-        raise InvalidParameter("need p_in > p_out > 0")
+        raise InvalidParameter(
+            f"need 0 < p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
     if seed < 0:
         raise InvalidParameter(f"seed must be nonnegative, got {seed}")
 

@@ -126,6 +126,29 @@ def test_estimated_greedy_guarantee(tiny_batch):
     assert hits >= 90
 
 
+@pytest.mark.parametrize("contract", [1, 2])
+def test_capped_estimated_greedy_tracks_the_exact_greedy(tiny_batch, contract):
+    """Sampled greedy capped at k picks as the exact greedy does.
+
+    Uncapped, both greedies fill every free slot on these graphs, so the
+    run above cannot tell a good estimator from a bad one.  Capped at k,
+    random picks also stay within (2 + eps) of optimum, but match the exact
+    greedy's picks in about one run in six.
+    """
+    hits = matches = 0
+    for idx, inst in enumerate(tiny_batch):
+        for k in (1, 2):
+            eps = 1.0 / (4 * k)
+            cfg = EstimatorConfig(epsilon=eps, delta=0.1, seed=(2000 + idx, k),
+                                  guarantee=True, contract=contract)
+            shortcuts, _ = greedy_plus(inst, k, epsilon=eps, estimator_config=cfg)
+            _, opt_value = brute_force_opt(inst, k)
+            hits += evaluate(inst, shortcuts) <= (2 + eps) * opt_value + 1e-9
+            matches += shortcuts == greedy_exact(inst, k)[0]
+    assert hits >= 90
+    assert matches >= 70
+
+
 def test_estimator_relative_coverage():
     """Sampled mean is within 20% of the exact mean in >= 90% of seeds."""
     for i in range(20):

@@ -161,6 +161,19 @@ def test_run_rejects_an_empty_grid(tmp_path, capsys, flags, config):
         assert not (tmp_path / "x.csv").exists()
 
 
+def test_run_rejects_a_negative_seed(tmp_path, capsys):
+    # SeedSequence takes no negative entropy; the sweep says so before any
+    # cell runs
+    base = ["run", "--gen", "path;length=5;blue=2", "--algorithms", "pure_random",
+            "--output", str(tmp_path / "x.csv")]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -3}))
+    for extra in (["--seed", "-3"], ["--seed", "1", "--config", str(cfg)]):
+        assert main(base + extra) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -3\n"
+        assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_file_overrides_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"algorithms": "top_hitting", "fractions": "0.5"}))

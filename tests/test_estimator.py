@@ -1,6 +1,7 @@
 """Sampled hitting-time estimation: formulas, walks, and seed discipline."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,8 +156,9 @@ def test_guarantee_mode_rejects_weak_overrides(path5):
 
 def test_guarantee_mode_halves_epsilon(path5):
     shared = dict(epsilon=0.2, delta=0.2, spectral_bound=0.8, seed=0)
-    loose = estimate_mean_hitting(path5, config=EstimatorConfig(**shared))
-    tight = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, guarantee=True))
+    loose = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, contract=1))
+    tight = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, guarantee=True,
+                                                                contract=1))
     assert tight.walk_length > loose.walk_length
     assert tight.samples_per_node > loose.samples_per_node
 
@@ -547,15 +549,17 @@ def test_walk_kernel_peak_memory():
 
 
 def test_estimator_stream_is_pinned(path5):
-    # recorded from the kernel that kept every walk; the current stream stays
-    # the default, so these literals hold bit for bit
+    # recorded from the kernel that kept every walk; contract 1 keeps that
+    # stream, so these literals hold bit for bit
     est = estimate_mean_hitting(
-        path5, config=EstimatorConfig(epsilon=0.2, delta=0.2, seed=11, guarantee=True))
+        path5, config=EstimatorConfig(epsilon=0.2, delta=0.2, seed=11, guarantee=True,
+                                      contract=1))
     assert est.per_node_means.tolist() == [
         3.8984493831333444, 2.933750211255704, 2.9267787730268715, 3.8968649653540646]
     planted = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
     est = estimate_mean_hitting(
-        planted, config=EstimatorConfig(epsilon=0.3, delta=0.2, seed=5, guarantee=True))
+        planted, config=EstimatorConfig(epsilon=0.3, delta=0.2, seed=5, guarantee=True,
+                                        contract=1))
     assert (est.walk_length, est.samples_per_node) == (29, 163791)
     assert est.per_node_means.tolist() == [
         4.919531598195261, 8.884828836749271, 7.915489862080334, 1.0]
@@ -563,7 +567,8 @@ def test_estimator_stream_is_pinned(path5):
 
 def test_greedy_plus_stream_is_pinned():
     graph = gen_planted_two_community(4, 4, 0.6, 0.3, 0)
-    cfg = EstimatorConfig(epsilon=0.25, delta=0.1, seed=(9, 0, 1), guarantee=True)
+    cfg = EstimatorConfig(epsilon=0.25, delta=0.1, seed=(9, 0, 1), guarantee=True,
+                          contract=1)
     selection, trace = greedy_plus(graph, 1, epsilon=0.25, estimator_config=cfg,
                                    cap_at_k=False)
     assert selection.endpoints == (0, 0, 0, 1, 1, 1, 2, 2, 2, 3)
@@ -574,6 +579,100 @@ def test_greedy_plus_stream_is_pinned():
         1.5676351741389263, 1.537762170482971, 1.4966807773715605,
         1.4919665191456608]
     assert trace.evaluations == 33
+
+
+def test_two_stage_stream_is_pinned(path5):
+    # test_estimator_stream_is_pinned's estimates under contract 2: a pilot,
+    # then fewer walks than Hoeffding's count, which give the means
+    est = estimate_mean_hitting(
+        path5, config=EstimatorConfig(epsilon=0.2, delta=0.2, seed=11, guarantee=True))
+    assert est.config.contract == 2
+    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (11, 5917, 8668)
+    assert (est.walk_steps, est.pilot_steps) == (118362, 81235)
+    assert est.per_node_means.tolist() == [
+        3.9025149976926627, 2.957314259344716, 2.8991693585602216, 3.896054453161052]
+    planted = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
+    est = estimate_mean_hitting(
+        planted, config=EstimatorConfig(epsilon=0.3, delta=0.2, seed=5, guarantee=True))
+    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (29, 20474, 23024)
+    assert (est.walk_steps, est.pilot_steps) == (523746, 463301)
+    assert est.per_node_means.tolist() == [
+        4.964819318971508, 8.84954829742877, 7.933460736622655, 1.0]
+
+
+def test_two_stage_greedy_plus_stream_is_pinned():
+    # test_greedy_plus_stream_is_pinned's run under contract 2
+    graph = gen_planted_two_community(4, 4, 0.6, 0.3, 0)
+    cfg = EstimatorConfig(epsilon=0.25, delta=0.1, seed=(9, 0, 1), guarantee=True)
+    selection, trace = greedy_plus(graph, 1, epsilon=0.25, estimator_config=cfg,
+                                   cap_at_k=False)
+    assert selection.endpoints == (0, 0, 0, 1, 1, 1, 2, 2, 2, 3)
+    assert trace.endpoints == [2, 0, 1, 0, 2, 1, 3, 1, 2, 0]
+    assert trace.values == [
+        2.131402543829495, 1.9186695278969959, 1.8461954172070905,
+        1.7559551611396544, 1.6642713903743316, 1.6131578947368421,
+        1.570884699057288, 1.5396514935988619, 1.5052631578947369,
+        1.474010861132661]
+    assert trace.evaluations == 34
+
+
+def test_two_stage_guarantee_mode_halves_epsilon(path5):
+    # test_guarantee_mode_halves_epsilon's estimates under contract 2: the
+    # walks stay longer, but the pilot and the second stage together take
+    # fewer walks than Hoeffding's count at epsilon/2
+    shared = dict(epsilon=0.2, delta=0.2, spectral_bound=0.8, seed=0)
+    loose = estimate_mean_hitting(path5, config=EstimatorConfig(**shared))
+    tight = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, guarantee=True))
+    assert tight.walk_length > loose.walk_length
+    assert (tight.walk_length, tight.pilot_samples, tight.samples_per_node) == (19, 17654,
+                                                                                10138)
+    assert tight.pilot_samples + tight.samples_per_node < sample_count(19, 0.1, 0.2, 5)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(EstimatorConfig(epsilon=0.2, delta=0.2, spectral_bound=0.8, seed=0),
+                 id="experiment"),
+    pytest.param(EstimatorConfig(epsilon=0.2, delta=0.2, seed=4, samples_per_node=500,
+                                 subsample_fraction=1.0), id="experiment-override"),
+    # Hoeffding's count at epsilon/2, given explicitly
+    pytest.param(EstimatorConfig(epsilon=0.2, delta=0.2, seed=3, guarantee=True,
+                                 samples_per_node=47336), id="guarantee-override"),
+    # a pilot of 1024 walks would reach the cap of 446, so the estimate
+    # takes Hoeffding's 725 walks
+    pytest.param(EstimatorConfig(epsilon=0.9, delta=0.5, seed=3, guarantee=True),
+                 id="pilot-reaches-cap"),
+])
+def test_contracts_draw_alike_outside_two_stage_counts(path5, config):
+    one = estimate_mean_hitting(path5, config=replace(config, contract=1))
+    two = estimate_mean_hitting(path5, config=replace(config, contract=2))
+    assert two.pilot_samples == two.pilot_steps == 0
+    assert (one.samples_per_node, one.walk_steps) == (two.samples_per_node, two.walk_steps)
+    assert one.per_node_means.tolist() == two.per_node_means.tolist()
+
+
+def test_estimator_rejects_an_unknown_contract(path5):
+    for contract in (0, 3):
+        with pytest.raises(InvalidParameter):
+            estimate_mean_hitting(path5, config=EstimatorConfig(contract=contract))
+
+
+@pytest.mark.parametrize("graph, epsilon", [
+    pytest.param(gen_path(5, [2]), 0.2, id="path5"),
+    pytest.param(gen_planted_two_community(4, 4, 0.6, 0.3, 4), 0.3, id="planted4"),
+])
+def test_two_stage_means_cover_at_the_stated_rate(graph, epsilon):
+    # with probability at least 1 - delta every per-node mean lies within
+    # epsilon/2 of its bounded-walk expectation
+    delta, runs = 0.2, 40
+    covered = 0
+    for seed in range(runs):
+        est = estimate_mean_hitting(graph, config=EstimatorConfig(
+            epsilon=epsilon, delta=delta, seed=seed, guarantee=True))
+        hoeffding = sample_count(est.walk_length, epsilon / 2, delta, graph.n)
+        assert 0 < est.pilot_samples and est.samples_per_node < hoeffding
+        expected = expected_bounded_steps(graph, length=est.walk_length)
+        covered += bool(np.all(np.abs(est.per_node_means - expected) <= epsilon / 2))
+    assert covered >= (1 - delta) * runs
 
 
 def test_config_reseeding_extends_entropy():

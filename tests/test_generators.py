@@ -99,6 +99,14 @@ def test_planted_two_community_determinism():
     assert sorted(a.iter_edges()) != sorted(c.iter_edges())
 
 
+@pytest.mark.parametrize("p_in, p_out", [(2.0, 0.1), (0.3, 0.3), (0.5, 0.0)])
+def test_planted_two_community_names_the_probability_range(p_in, p_out):
+    # p_in = 2 satisfies p_in > p_out > 0, so the message names the bound 1
+    with pytest.raises(InvalidParameter, match=r"need 0 < p_out < p_in <= 1, got "
+                                               rf"p_in={p_in}, p_out={p_out}$"):
+        gen_planted_two_community(4, 4, p_in, p_out, 1)
+
+
 def test_planted_two_community_validation():
     with pytest.raises(InvalidParameter):
         gen_planted_two_community(5, 5, 0.5, 0.0, 1)
