@@ -8,16 +8,14 @@ truncation error and sampling error each stay within half of the allowed
 relative error.  Experiment mode relaxes everything and additionally
 subsamples the start nodes.
 
-The per-node trial count follows one of two contracts
-(``EstimatorConfig.contract``).  Contract 1 takes Hoeffding's count for
-walks with values in [0, walk_length] everywhere.  Contract 2, the
-default, sizes guarantee-mode estimates whose count comes from the formula
+A guarantee-mode estimate whose trial count comes from the formula runs
 in two stages: a pilot of walks per start node bounds each node's variance
 by Maurer and Pontil's empirical bound ("Empirical Bernstein bounds and
 sample variance penalization", COLT 2009, Thm 10), and one count for every
 node from Bernstein's inequality, capped at Hoeffding's, draws the walks
-behind the means.  ``estimate_mean_hitting`` states and proves the
-guarantee.  Everything else draws the same walks under both contracts.
+behind the means.  Where the pilot could not pay for itself, the estimate
+takes Hoeffding's count in one stage.  ``estimate_mean_hitting`` states and
+proves the guarantee.  Every other estimate takes its count in one stage.
 
 One batched kernel runs every walk.  It reads the red rows through one
 walk table per estimate, ``graph.augmented_view``, built from the base CSR
@@ -112,17 +110,25 @@ def sample_count(walk_length: int, epsilon: float, delta: float, node_count: int
     )
 
 
-def _pilot_count(hoeffding, walk_length, deviation, delta, node_count):
-    """(pilot, cap) of a two-stage estimate; see ``estimate_mean_hitting``.
+def _stage_counts(hoeffding, walk_length, deviation, delta, node_count):
+    """(single, pilot, cap) of a guarantee-mode estimate whose count comes
+    from the formula; see ``estimate_mean_hitting``.
 
-    ``cap`` is Hoeffding's count for ``deviation`` at failure delta/(2n).
-    The pilot is max(1024, ceil(hoeffding/8)) walks, or 0 where it would
-    reach the cap, so that the estimate falls back to ``hoeffding`` walks.
+    ``single`` is Hoeffding's count for ``deviation`` at failure delta/n,
+    the count of a one-stage estimate, and ``cap`` the same at failure
+    delta/(2n), the largest second stage.  The pilot is max(1024,
+    ceil(hoeffding/8)) walks, or 0 where it and the smallest second stage
+    together would reach ``single``, so that the estimate draws ``single``
+    walks in one stage.
     """
+    single = math.ceil(walk_length ** 2 * math.log(2.0 * node_count / delta)
+                       / (2.0 * deviation ** 2))
     cap = math.ceil(walk_length ** 2 * math.log(4.0 * node_count / delta)
                     / (2.0 * deviation ** 2))
     pilot = max(_PILOT_MIN, math.ceil(hoeffding / _PILOT_SHARE))
-    return (pilot if pilot < cap else 0), cap
+    least = min(cap, _bernstein_count(0.0, pilot, walk_length, deviation, delta,
+                                      node_count))
+    return single, (pilot if pilot + least < single else 0), cap
 
 
 def _bernstein_count(spread, pilot, walk_length, deviation, delta, node_count):
@@ -193,10 +199,8 @@ class EstimatorConfig:
     ``guarantee`` is set, 0.1 otherwise).  Guarantee mode insists on safe
     values: full sampling, a spectral override no smaller than the computed
     radius, and walk/trial overrides no smaller than the formulas with
-    epsilon/2.  ``contract`` picks the rule behind a guarantee-mode trial
-    count taken from the formula: 1 for Hoeffding's count, 2 (the default)
-    for the two-stage count of ``estimate_mean_hitting``.  It changes
-    nothing else.
+    epsilon/2.  A guarantee-mode trial count taken from the formula is
+    ``estimate_mean_hitting``'s two-stage count.
     """
 
     epsilon: float = 0.1
@@ -207,7 +211,6 @@ class EstimatorConfig:
     subsample_fraction: float | None = None
     seed: int | tuple = 0
     guarantee: bool = False
-    contract: int = 2
 
     def entropy(self) -> tuple:
         if isinstance(self.seed, tuple):
@@ -420,17 +423,20 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     lies within a of its μ_u, and so the estimate within a of their mean.
     The truncation's share of the error is ``truncation_length``'s.
 
-    Contract 1, and contract 2 where the pilot would reach the cap below,
-    draw Hoeffding's count t_H = ⌈ℓ²/a²·ln(2n/δ)⌉ (``sample_count`` at
-    epsilon/2).  Hoeffding's inequality for values in [0, ℓ],
-    P(|X̄ − μ| ≥ s) ≤ 2·exp(−2ts²/ℓ²), puts each node beyond a/√2 with
-    probability at most δ/n, and a union bound over the at most n start
-    nodes gives the statement, at the tighter deviation a/√2.
+    A guarantee-mode estimate with the count from the formula draws two
+    stages of walks, or t_1 walks in one (below); every other estimate
+    draws its count in one stage.  t_H = ⌈ℓ²/a²·ln(2n/δ)⌉ is Hoeffding's
+    count at epsilon/2 (``sample_count``), the least ``samples_per_node``
+    override guarantee mode takes.  Hoeffding's
+    inequality for t values in [0, ℓ], P(|X̄ − μ| ≥ s) ≤ 2·exp(−2ts²/ℓ²),
+    puts a node beyond a with probability at most δ/n once
+    t ≥ t_1 = ⌈ℓ²·ln(2n/δ)/(2a²)⌉, and a union bound over the at most n
+    start nodes gives the statement for any count of at least t_1; t_H
+    walks give it at the tighter deviation a/√2.
 
-    Contract 2, where the count comes from the formula, runs two stages on
-    each node's generator.  The cap is Hoeffding's count at deviation a and
-    failure δ/(2n), t_cap = ⌈ℓ²·ln(4n/δ)/(2a²)⌉, and the pilot is
-    t0 = max(1024, ⌈t_H/8⌉) walks, or none where t0 ≥ t_cap.
+    The two stages run on each node's generator.  The pilot is
+    t0 = max(1024, ⌈t_H/8⌉) walks, and the cap is Hoeffding's count at
+    deviation a and failure δ/(2n), t_cap = ⌈ℓ²·ln(4n/δ)/(2a²)⌉.
 
     1. Pilot.  Each node's t0 walks give its sample variance V̂_u (ddof 1).
        For t0 ≥ 2 independent values in [0, 1], Maurer and Pontil
@@ -451,8 +457,12 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     3. A union bound over the at most n start nodes and both events of each
        gives failure at most n·δ/(2n) + n·δ/(2n) = δ.
 
-    Since Hoeffding's ℓ² stands where the two-stage count has 2σ̄_u², the
-    second stage is about 2·max σ̄_u²/ℓ² of t_H, and bounded step counts
+    Since V̂_u ≥ 0, t2 is at least the count for
+    σ̄_u = ℓ·√(2·ln(2n/δ)/(t0 − 1)), or t_cap if that is smaller.  Where t0
+    and that least t2 together reach t_1, no pilot can pay for itself, and
+    the estimate draws t_1 walks in one stage instead: which path an
+    estimate takes depends on ℓ, a, δ and n only.  Where Hoeffding's count
+    has ℓ²/2, the second stage has 2σ̄_u² + 2ℓa/3, and bounded step counts
     vary far less than their range.
     """
     config = config or EstimatorConfig()
@@ -460,8 +470,6 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         raise InvalidParameter(f"epsilon must lie in (0, 1), got {config.epsilon}")
     if not 0 < config.delta < 1:
         raise InvalidParameter(f"delta must lie in (0, 1), got {config.delta}")
-    if config.contract not in (1, 2):
-        raise InvalidParameter(f"estimator contract must be 1 or 2, got {config.contract}")
 
     view = augmented_view(instance, shortcuts)
     entropy = config.entropy()
@@ -528,8 +536,9 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy + (0, int(u))))
             for u in sampled]
     pilot = pilot_steps = 0
-    if config.contract == 2 and config.guarantee and config.samples_per_node is None:
-        pilot, cap = _pilot_count(trials, ell, eps_eff, config.delta, instance.n)
+    if config.guarantee and config.samples_per_node is None:
+        trials, pilot, cap = _stage_counts(trials, ell, eps_eff, config.delta,
+                                           instance.n)
     if pilot:
         # the largest pilot std gives every node's second-stage count
         spread = 0.0

@@ -126,8 +126,7 @@ def test_estimated_greedy_guarantee(tiny_batch):
     assert hits >= 90
 
 
-@pytest.mark.parametrize("contract", [1, 2])
-def test_capped_estimated_greedy_tracks_the_exact_greedy(tiny_batch, contract):
+def test_capped_estimated_greedy_tracks_the_exact_greedy(tiny_batch):
     """Sampled greedy capped at k picks as the exact greedy does.
 
     Uncapped, both greedies fill every free slot on these graphs, so the
@@ -140,7 +139,7 @@ def test_capped_estimated_greedy_tracks_the_exact_greedy(tiny_batch, contract):
         for k in (1, 2):
             eps = 1.0 / (4 * k)
             cfg = EstimatorConfig(epsilon=eps, delta=0.1, seed=(2000 + idx, k),
-                                  guarantee=True, contract=contract)
+                                  guarantee=True)
             shortcuts, _ = greedy_plus(inst, k, epsilon=eps, estimator_config=cfg)
             _, opt_value = brute_force_opt(inst, k)
             hits += evaluate(inst, shortcuts) <= (2 + eps) * opt_value + 1e-9

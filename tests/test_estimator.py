@@ -1,7 +1,6 @@
 """Sampled hitting-time estimation: formulas, walks, and seed discipline."""
 
 import tracemalloc
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,12 +154,15 @@ def test_guarantee_mode_rejects_weak_overrides(path5):
 
 
 def test_guarantee_mode_halves_epsilon(path5):
+    # the walks grow longer; the pilot and the second stage together take
+    # fewer walks than Hoeffding's count at epsilon/2
     shared = dict(epsilon=0.2, delta=0.2, spectral_bound=0.8, seed=0)
-    loose = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, contract=1))
-    tight = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, guarantee=True,
-                                                                contract=1))
+    loose = estimate_mean_hitting(path5, config=EstimatorConfig(**shared))
+    tight = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, guarantee=True))
     assert tight.walk_length > loose.walk_length
-    assert tight.samples_per_node > loose.samples_per_node
+    assert (tight.walk_length, tight.pilot_samples, tight.samples_per_node) == (19, 17654,
+                                                                                10138)
+    assert tight.pilot_samples + tight.samples_per_node < sample_count(19, 0.1, 0.2, 5)
 
 
 def test_subsample_picks_at_least_one_node(path5):
@@ -549,44 +551,9 @@ def test_walk_kernel_peak_memory():
 
 
 def test_estimator_stream_is_pinned(path5):
-    # recorded from the kernel that kept every walk; contract 1 keeps that
-    # stream, so these literals hold bit for bit
-    est = estimate_mean_hitting(
-        path5, config=EstimatorConfig(epsilon=0.2, delta=0.2, seed=11, guarantee=True,
-                                      contract=1))
-    assert est.per_node_means.tolist() == [
-        3.8984493831333444, 2.933750211255704, 2.9267787730268715, 3.8968649653540646]
-    planted = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
-    est = estimate_mean_hitting(
-        planted, config=EstimatorConfig(epsilon=0.3, delta=0.2, seed=5, guarantee=True,
-                                        contract=1))
-    assert (est.walk_length, est.samples_per_node) == (29, 163791)
-    assert est.per_node_means.tolist() == [
-        4.919531598195261, 8.884828836749271, 7.915489862080334, 1.0]
-
-
-def test_greedy_plus_stream_is_pinned():
-    graph = gen_planted_two_community(4, 4, 0.6, 0.3, 0)
-    cfg = EstimatorConfig(epsilon=0.25, delta=0.1, seed=(9, 0, 1), guarantee=True,
-                          contract=1)
-    selection, trace = greedy_plus(graph, 1, epsilon=0.25, estimator_config=cfg,
-                                   cap_at_k=False)
-    assert selection.endpoints == (0, 0, 0, 1, 1, 1, 2, 2, 2, 3)
-    assert trace.endpoints == [2, 0, 1, 0, 2, 3, 1, 0, 2, 1]
-    assert trace.values == [
-        2.112429451000513, 1.9359376924024136, 1.8466629725403276,
-        1.7559721709149119, 1.6648066192033866, 1.6005387723686744,
-        1.5676351741389263, 1.537762170482971, 1.4966807773715605,
-        1.4919665191456608]
-    assert trace.evaluations == 33
-
-
-def test_two_stage_stream_is_pinned(path5):
-    # test_estimator_stream_is_pinned's estimates under contract 2: a pilot,
-    # then fewer walks than Hoeffding's count, which give the means
+    # a pilot, then fewer walks than Hoeffding's count, which give the means
     est = estimate_mean_hitting(
         path5, config=EstimatorConfig(epsilon=0.2, delta=0.2, seed=11, guarantee=True))
-    assert est.config.contract == 2
     assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (11, 5917, 8668)
     assert (est.walk_steps, est.pilot_steps) == (118362, 81235)
     assert est.per_node_means.tolist() == [
@@ -600,8 +567,7 @@ def test_two_stage_stream_is_pinned(path5):
         4.964819318971508, 8.84954829742877, 7.933460736622655, 1.0]
 
 
-def test_two_stage_greedy_plus_stream_is_pinned():
-    # test_greedy_plus_stream_is_pinned's run under contract 2
+def test_greedy_plus_stream_is_pinned():
     graph = gen_planted_two_community(4, 4, 0.6, 0.3, 0)
     cfg = EstimatorConfig(epsilon=0.25, delta=0.1, seed=(9, 0, 1), guarantee=True)
     selection, trace = greedy_plus(graph, 1, epsilon=0.25, estimator_config=cfg,
@@ -616,44 +582,30 @@ def test_two_stage_greedy_plus_stream_is_pinned():
     assert trace.evaluations == 34
 
 
-def test_two_stage_guarantee_mode_halves_epsilon(path5):
-    # test_guarantee_mode_halves_epsilon's estimates under contract 2: the
-    # walks stay longer, but the pilot and the second stage together take
-    # fewer walks than Hoeffding's count at epsilon/2
-    shared = dict(epsilon=0.2, delta=0.2, spectral_bound=0.8, seed=0)
-    loose = estimate_mean_hitting(path5, config=EstimatorConfig(**shared))
-    tight = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, guarantee=True))
-    assert tight.walk_length > loose.walk_length
-    assert (tight.walk_length, tight.pilot_samples, tight.samples_per_node) == (19, 17654,
-                                                                                10138)
-    assert tight.pilot_samples + tight.samples_per_node < sample_count(19, 0.1, 0.2, 5)
-
-
 @pytest.mark.parametrize("config", [
     pytest.param(EstimatorConfig(epsilon=0.2, delta=0.2, spectral_bound=0.8, seed=0),
                  id="experiment"),
-    pytest.param(EstimatorConfig(epsilon=0.2, delta=0.2, seed=4, samples_per_node=500,
-                                 subsample_fraction=1.0), id="experiment-override"),
     # Hoeffding's count at epsilon/2, given explicitly
     pytest.param(EstimatorConfig(epsilon=0.2, delta=0.2, seed=3, guarantee=True,
                                  samples_per_node=47336), id="guarantee-override"),
-    # a pilot of 1024 walks would reach the cap of 446, so the estimate
-    # takes Hoeffding's 725 walks
-    pytest.param(EstimatorConfig(epsilon=0.9, delta=0.5, seed=3, guarantee=True),
-                 id="pilot-reaches-cap"),
 ])
-def test_contracts_draw_alike_outside_two_stage_counts(path5, config):
-    one = estimate_mean_hitting(path5, config=replace(config, contract=1))
-    two = estimate_mean_hitting(path5, config=replace(config, contract=2))
-    assert two.pilot_samples == two.pilot_steps == 0
-    assert (one.samples_per_node, one.walk_steps) == (two.samples_per_node, two.walk_steps)
-    assert one.per_node_means.tolist() == two.per_node_means.tolist()
+def test_only_formula_counts_in_guarantee_mode_run_a_pilot(path5, config):
+    est = estimate_mean_hitting(path5, config=config)
+    assert est.pilot_samples == est.pilot_steps == 0
+    assert est.samples_per_node == (config.samples_per_node
+                                    or sample_count(est.walk_length, 0.2, 0.2, 5))
 
 
-def test_estimator_rejects_an_unknown_contract(path5):
-    for contract in (0, 3):
-        with pytest.raises(InvalidParameter):
-            estimate_mean_hitting(path5, config=EstimatorConfig(contract=contract))
+def test_guarantee_mode_without_a_paying_pilot_takes_one_stage(path5):
+    # ell = 7, a = 0.45, n = 5, delta = 0.5: a pilot of 1024 walks alone
+    # reaches Hoeffding's count at delta/n, ceil(49 ln 20 / (2 a**2)) = 363,
+    # so the estimate draws those walks in one stage
+    est = estimate_mean_hitting(path5, config=EstimatorConfig(
+        epsilon=0.9, delta=0.5, seed=3, guarantee=True))
+    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (7, 0, 363)
+    assert (est.walk_steps, est.pilot_steps) == (4631, 0)
+    assert est.per_node_means.tolist() == [
+        3.6170798898071626, 2.7410468319559227, 2.7851239669421486, 3.6143250688705235]
 
 
 @pytest.mark.parametrize("graph, epsilon", [
