@@ -307,8 +307,8 @@ def _integers(draw, high, size, screen, ones):
     for bit, from the words of ``draw`` (``_words(rng)``).
 
     ``high`` holds ``size`` bounds, or one bound that every draw shares.
-    ``screen`` is at least every bound.  ``ones`` is true when some bound is
-    1; for a shared bound, exactly when it is 1.
+    ``screen`` is at least every bound.  ``ones`` is false only when no
+    bound is 1, so that a table without degree-1 rows skips the check.
 
     NumPy draws each element alone, by Lemire's multiply-shift ("Fast
     random integer generation in an interval", ACM TOMACS 2019): a bound of
@@ -323,9 +323,10 @@ def _integers(draw, high, size, screen, ones):
     bound, so no low word of at least ``screen`` rejects: one reduction
     settles the common case.  A rejection, at most once in 2**32/h draws,
     moves that element and every later one that draws a draw along and
-    takes one more draw at the end.
+    takes one more draw at the end.  Only a call that holds a bound of 1
+    scatters its words past those elements.
     """
-    if ones:
+    if ones and high.min() == 1:
         drawing = np.flatnonzero(high > 1)
         words = np.full(size, (1 << 32) - 1, dtype=np.uint32)
         words[drawing] = draw(drawing.size)
