@@ -13,23 +13,26 @@ in two stages: a pilot of walks per start node bounds each node's variance
 by Maurer and Pontil's empirical bound ("Empirical Bernstein bounds and
 sample variance penalization", COLT 2009, Thm 10), and one count for every
 node from Bernstein's inequality, capped at Hoeffding's, draws the walks
-behind the means.  Where the pilot could not pay for itself, the estimate
-takes Hoeffding's count in one stage.  ``estimate_mean_hitting`` states and
-proves the guarantee.  Every other estimate takes its count in one stage.
+behind the means.  Both counts and the pilot's size follow from the walk
+length, epsilon, delta and the number of start nodes.  Where the pilot
+could not pay for itself, the estimate takes Hoeffding's count in one
+stage.  ``estimate_mean_hitting`` states and proves the guarantee.  Every
+other estimate takes its count in one stage.
 
 One batched kernel runs every walk.  It reads the red rows through one
 walk table per estimate, ``graph.augmented_view``, built from the base CSR
-and the shortcut counts.  It keeps one int64 array of the row starts of the
-walks still red and sums the step counts of the others, and their squares,
-into exact integers.
-Each step moves the live walks in fixed-size chunks, so its other memory is
-a few chunk-sized temporaries.  The first step gathers no degree: every
-walk is at the start node, whose degree and row start are shared scalars.
+and the shortcut counts.  It walks several start nodes at once: it keeps
+one int64 array of the row starts of the walks still red, each start's
+walks a contiguous segment, and sums each start's step counts, and their
+squares, into exact integers.  Each step moves the live walks in
+fixed-size chunks, so its other memory is a few chunk-sized temporaries.
 Its draws are those of one ``rng.integers(0, deg)`` over the live walks per
 step, in start order, reproduced exactly by a bulk draw of 32-bit words per
-chunk: two per raw 64-bit draw for PCG64, from one word source per start
-node that reads and writes the generator's state once, and through
-``rng.integers`` otherwise.  The spectral radius reads the red block's
+chunk: two per raw 64-bit draw for PCG64, from one word source per kernel
+call that reads and writes the generator's state once, and through
+``rng.integers`` otherwise.  An estimate draws all its walks from one
+generator, stage after stage, in kernel calls of as many start nodes as
+fill one chunk, or of one.  The spectral radius reads the red block's
 entries from ``graph.block_entries`` and the bounded-step expectation reads
 the block from ``exact._chain``, each with the shortcuts added to the red
 degrees.
@@ -65,10 +68,6 @@ _SPECTRAL_CAP = 1.0 - 1e-9
 _CHUNK = 1 << 15
 # index of the low 32-bit word within a uint64
 _LOW_WORD = 0 if sys.byteorder == "little" else 1
-# a two-stage estimate's pilot: at least _PILOT_MIN walks per start node,
-# and at least 1/_PILOT_SHARE of Hoeffding's count
-_PILOT_MIN = 1024
-_PILOT_SHARE = 8
 
 
 def truncation_length(mean_red_degree: float, epsilon: float, spectral_bound: float) -> int:
@@ -110,35 +109,34 @@ def sample_count(walk_length: int, epsilon: float, delta: float, node_count: int
     )
 
 
-def _stage_counts(hoeffding, walk_length, deviation, delta, node_count):
-    """(single, pilot, cap) of a guarantee-mode estimate whose count comes
-    from the formula; see ``estimate_mean_hitting``.
+def _stage_counts(walk_length, deviation, delta, starts):
+    """(single, pilot, cap) of a guarantee-mode estimate from ``starts``
+    start nodes whose count comes from the formula; see
+    ``estimate_mean_hitting``.
 
-    ``single`` is Hoeffding's count for ``deviation`` at failure delta/n,
-    the count of a one-stage estimate, and ``cap`` the same at failure
-    delta/(2n), the largest second stage.  The pilot is max(1024,
-    ceil(hoeffding/8)) walks, or 0 where it and the smallest second stage
-    together would reach ``single``, so that the estimate draws ``single``
-    walks in one stage.
+    ``single`` is Hoeffding's count for ``deviation`` at failure
+    delta/starts, the count of a one-stage estimate, and ``cap`` the same
+    at failure delta/(2·starts), the largest second stage.  The pilot is
+    twice the size that minimises the pilot plus the smallest second
+    stage, or 0 where the two together would reach ``single``, so that the
+    estimate draws ``single`` walks in one stage.
     """
-    single = math.ceil(walk_length ** 2 * math.log(2.0 * node_count / delta)
-                       / (2.0 * deviation ** 2))
-    cap = math.ceil(walk_length ** 2 * math.log(4.0 * node_count / delta)
-                    / (2.0 * deviation ** 2))
-    pilot = max(_PILOT_MIN, math.ceil(hoeffding / _PILOT_SHARE))
-    least = min(cap, _bernstein_count(0.0, pilot, walk_length, deviation, delta,
-                                      node_count))
+    low, high = math.log(2.0 * starts / delta), math.log(4.0 * starts / delta)
+    single = math.ceil(walk_length ** 2 * low / (2.0 * deviation ** 2))
+    cap = math.ceil(walk_length ** 2 * high / (2.0 * deviation ** 2))
+    pilot = math.ceil(4.0 * walk_length * math.sqrt(low * high) / deviation)
+    least = min(cap, _bernstein_count(0.0, pilot, walk_length, deviation, delta, starts))
     return single, (pilot if pilot + least < single else 0), cap
 
 
-def _bernstein_count(spread, pilot, walk_length, deviation, delta, node_count):
-    """Bernstein's count for ``deviation`` at failure delta/(2n), from the
-    largest pilot sample std ``spread`` raised by Maurer and Pontil's bound
-    at delta/(2n); see ``estimate_mean_hitting``."""
-    sigma = spread + walk_length * math.sqrt(2.0 * math.log(2.0 * node_count / delta)
+def _bernstein_count(spread, pilot, walk_length, deviation, delta, starts):
+    """Bernstein's count for ``deviation`` at failure delta/(2·starts), from
+    the largest pilot sample std ``spread`` raised by Maurer and Pontil's
+    bound at delta/(2·starts); see ``estimate_mean_hitting``."""
+    sigma = spread + walk_length * math.sqrt(2.0 * math.log(2.0 * starts / delta)
                                              / (pilot - 1))
     return math.ceil((2.0 * sigma ** 2 + 2.0 * walk_length * deviation / 3.0)
-                     * math.log(4.0 * node_count / delta) / deviation ** 2)
+                     * math.log(4.0 * starts / delta) / deviation ** 2)
 
 
 def _sample_std(trials, total, total_sq):
@@ -200,7 +198,9 @@ class EstimatorConfig:
     values: full sampling, a spectral override no smaller than the computed
     radius, and walk/trial overrides no smaller than the formulas with
     epsilon/2.  A guarantee-mode trial count taken from the formula is
-    ``estimate_mean_hitting``'s two-stage count.
+    ``estimate_mean_hitting``'s two-stage count, sized by the number of
+    sampled start nodes.  ``seed`` keys the one generator that all of an
+    estimate's walks draw from, and the start-node subsample.
     """
 
     epsilon: float = 0.1
@@ -302,11 +302,10 @@ def _words(rng):
             bit_generator.state = state
 
 
-def _integers(draw, high, size, screen, ones):
-    """``rng.integers(0, high, size)`` for uint64 bounds in [1, 2**32), bit
-    for bit, from the words of ``draw`` (``_words(rng)``).
+def _integers(draw, high, screen, ones):
+    """``rng.integers(0, high)`` for an array of uint64 bounds in [1, 2**32),
+    bit for bit, from the words of ``draw`` (``_words(rng)``).
 
-    ``high`` holds ``size`` bounds, or one bound that every draw shares.
     ``screen`` is at least every bound.  ``ones`` is false only when no
     bound is 1, so that a table without degree-1 rows skips the check.
 
@@ -326,6 +325,7 @@ def _integers(draw, high, size, screen, ones):
     takes one more draw at the end.  Only a call that holds a bound of 1
     scatters its words past those elements.
     """
+    size = high.size
     if ones and high.min() == 1:
         drawing = np.flatnonzero(high > 1)
         words = np.full(size, (1 << 32) - 1, dtype=np.uint32)
@@ -337,7 +337,6 @@ def _integers(draw, high, size, screen, ones):
     low = m.view(np.uint32)[_LOW_WORD::2]
     first = 0
     while first < size and low[first:].min() < screen:
-        high = np.broadcast_to(high, size)
         rest = high[first:]
         rejected = np.flatnonzero(low[first:] < (np.uint64(1 << 32) - rest) % rest)
         if not rejected.size:
@@ -350,44 +349,49 @@ def _integers(draw, high, size, screen, ones):
     return m.view(np.int64)
 
 
-def _walk_steps(view, start, trials, limit, rng):
-    """Batch of ``trials`` absorbing walks from ``start``, cut at ``limit`` steps.
+def _walk_steps(view, starts, trials, limit, rng):
+    """``trials`` absorbing walks from each of ``starts``, cut at ``limit`` steps.
 
-    Returns (total, total_sq, still_red): the sum and the sum of squares of
-    the walks' step counts, each walk counting the step at its first blue
-    node or ``limit`` if it is not absorbed by then, and the number of walks
-    still red at ``limit``.  The state is one array of the row starts of the
-    live walks, in start order, read through the walk table ``view``
-    (``graph.AugmentedView``).  Each step draws one ``rng.integers(0, deg)``
-    over them, reproduced by ``_integers`` from one word source
-    (``_words``), so the generator's state is read and written once per
-    call.  The drawn slot is the row start plus the draw, so one gather of
-    the bounds and one of the drawn slots' targets, with a sign test, find
-    the walks still red, and a take by index compacts them.  Every walk of
-    the first step is at ``start``, whose bound and row start are shared
-    scalars: it gathers only the targets.  It runs in chunks of ``_CHUNK``
-    walks, each drawing after the one before and compacting its survivors
-    into the front of the array, so the stream is that of one draw per step
-    and the temporaries stay cache-sized.  A ``limit`` of 0 draws nothing.
-    The sums are Python ints, so they are exact.
+    Returns (total, total_sq, still_red), three lists with one int per
+    start: the sum and the sum of squares of its walks' step counts, each
+    walk counting the step at its first blue node or ``limit`` if it is not
+    absorbed by then, and the number of its walks still red at ``limit``.
+    The state is one array of the row starts of the live walks, start after
+    start in the order given, each start's walks a contiguous segment,
+    read through the walk table ``view`` (``graph.AugmentedView``);
+    ``ends`` holds each segment's end.  Each step draws one
+    ``rng.integers(0, deg)`` over the live walks, reproduced by
+    ``_integers`` from one word source (``_words``), so the generator's
+    state is read and written once per call.  The drawn slot is the row
+    start plus the draw, so one gather of the bounds and one of the drawn
+    slots' targets, with a sign test, find the walks still red, and a take
+    by index compacts them.  It runs in chunks of ``_CHUNK`` walks, each
+    drawing after the one before and compacting its survivors into the
+    front of the array, so the stream is that of one draw per step and the
+    temporaries stay cache-sized; a segment may span chunks.  A walk live
+    at the start of step s adds 1 to its sum and 2s − 1 to its sum of
+    squares, so each step adds the segment ends to running sums over the
+    segments, and one difference at the end gives the sums per start.
+    They are exact: int64 while they cannot overflow, Python ints
+    otherwise.  A ``limit`` of 0 draws nothing.
     """
     bound, target, largest, ones = view.bound, view.target, view.largest, view.ones
-    at = view.first[np.searchsorted(view.red_ids, start)]
-    pos = np.empty(trials, dtype=np.int64)
-    live = trials
-    total = total_sq = 0
+    pos = np.repeat(view.first[np.searchsorted(view.red_ids, starts)], trials)
+    ends = np.arange(1, len(starts) + 1, dtype=np.int64) * trials
+    exact = np.int64 if pos.size * int(limit) ** 2 < 1 << 63 else object
+    total = np.zeros(ends.size, dtype=exact)
+    total_sq = np.zeros(ends.size, dtype=exact)
     with _words(rng) as draw:
         for step in range(1, limit + 1):
-            kept = 0
-            for lo in range(0, live, _CHUNK):
-                if step == 1:
-                    slot = _integers(draw, bound[at:at + 1], min(_CHUNK, live - lo),
-                                     bound[at], bound[at] == 1)
-                    slot += at
-                else:
-                    cur = pos[lo:min(lo + _CHUNK, live)]
-                    slot = _integers(draw, bound.take(cur), cur.size, largest, ones)
-                    slot += cur
+            live = ends.astype(exact, copy=False)
+            total += live
+            total_sq += (2 * step - 1) * live
+            walks, kept = int(ends[-1]), 0
+            kept_ends = np.zeros(ends.size, dtype=np.int64)
+            for lo in range(0, walks, _CHUNK):
+                cur = pos[lo:min(lo + _CHUNK, walks)]
+                slot = _integers(draw, bound.take(cur), largest, ones)
+                slot += cur
                 nxt = target.take(slot)
                 del slot  # dead: freed before the filter allocates
                 red = np.flatnonzero(nxt >= 0)
@@ -396,75 +400,103 @@ def _walk_steps(view, start, trials, limit, rng):
                 # into out where "raise" would write a copy first
                 nxt.take(red, out=pos[kept:kept + red.size], mode="clip")
                 kept += red.size
+                # this chunk's survivors that lie before each segment's end
+                kept_ends += np.searchsorted(red, ends - lo)
                 del nxt, red  # dead: freed before the next chunk draws
-            hits = live - kept
-            total += step * hits
-            total_sq += step * step * hits
-            live = kept
-            if live == 0:
+            ends = kept_ends
+            if not kept:
                 break
-    total += limit * live
-    total_sq += limit * limit * live
-    return total, total_sq, live
+    # a walk still red at limit took limit steps, counted above
+    return _per_start(total), _per_start(total_sq), _per_start(ends)
+
+
+def _per_start(running):
+    """Python ints, one per segment, from running sums over the segments."""
+    running = running.tolist()
+    return [b - a for a, b in zip([0] + running[:-1], running)]
+
+
+def _stage(view, starts, trials, limit, rng):
+    """``_walk_steps`` over ``starts`` in calls of at most max(1, _CHUNK //
+    trials) starts each, in order, so no call holds more than max(trials,
+    _CHUNK) walks; the three lists cover every start."""
+    per_call = max(1, _CHUNK // trials)
+    sums = ([], [], [])
+    for lo in range(0, len(starts), per_call):
+        for acc, part in zip(sums, _walk_steps(view, starts[lo:lo + per_call], trials,
+                                               limit, rng)):
+            acc.extend(part)
+    return sums
 
 
 def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | None = None) -> Estimate:
     """Estimate the mean red-to-blue hitting time with bounded walks.
 
-    Deterministic for a fixed (instance, shortcuts, config): every start
-    node draws from its own substream keyed by (seed, node index), so the
-    result does not depend on evaluation order.  The walks run on the walk
-    table ``augmented_view(instance, shortcuts)``, where a draw of a shortcut
-    slot absorbs the walk.
+    Deterministic for a fixed (instance, shortcuts, config): the start-node
+    subsample draws from a generator keyed by (seed, 1), and every walk from
+    one keyed by (seed, 0), stage after stage.  A stage of t walks per node
+    walks the sampled nodes in ascending order, in kernel calls of at most
+    max(1, ``_CHUNK`` // t) nodes, so that no call holds more than
+    max(t, ``_CHUNK``) walks.  The walks run on the walk table
+    ``augmented_view(instance, shortcuts)``, where a draw of a shortcut slot
+    absorbs the walk.
 
-    The guarantee.  Let ℓ be the walk length, a = epsilon/2 and n the node
-    count of ``instance``.  A walk from red node u counts X = min(T, ℓ)
-    steps, with mean μ_u (``expected_bounded_steps``) and variance σ_u².  In
-    guarantee mode, with probability at least 1 − δ, every per-node mean
-    lies within a of its μ_u, and so the estimate within a of their mean.
-    The truncation's share of the error is ``truncation_length``'s.
+    The guarantee.  Let ℓ be the walk length, a = epsilon/2 and m the number
+    of sampled start nodes: m = |R| in guarantee mode, which samples every
+    red node.  A walk from red node u counts X = min(T, ℓ) steps, with mean
+    μ_u (``expected_bounded_steps``) and variance σ_u².  In guarantee mode,
+    with probability at least 1 − δ, every per-node mean lies within a of
+    its μ_u, and so the estimate within a of their mean.  The truncation's
+    share of the error is ``truncation_length``'s.
 
     A guarantee-mode estimate with the count from the formula draws two
     stages of walks, or t_1 walks in one (below); every other estimate
-    draws its count in one stage.  t_H = ⌈ℓ²/a²·ln(2n/δ)⌉ is Hoeffding's
-    count at epsilon/2 (``sample_count``), the least ``samples_per_node``
-    override guarantee mode takes.  Hoeffding's
-    inequality for t values in [0, ℓ], P(|X̄ − μ| ≥ s) ≤ 2·exp(−2ts²/ℓ²),
-    puts a node beyond a with probability at most δ/n once
-    t ≥ t_1 = ⌈ℓ²·ln(2n/δ)/(2a²)⌉, and a union bound over the at most n
-    start nodes gives the statement for any count of at least t_1; t_H
-    walks give it at the tighter deviation a/√2.
+    draws its count in one stage.  t_H = ⌈ℓ²/a²·ln(2n/δ)⌉, n the node count
+    of ``instance``, is Hoeffding's count at epsilon/2 (``sample_count``),
+    the least ``samples_per_node`` override guarantee mode takes.
+    Hoeffding's inequality for t values in [0, ℓ],
+    P(|X̄ − μ| ≥ s) ≤ 2·exp(−2ts²/ℓ²), puts a node beyond a with
+    probability at most δ/m once t ≥ t_1 = ⌈ℓ²·ln(2m/δ)/(2a²)⌉, and a union
+    bound over the m start nodes gives the statement for any count of at
+    least t_1; t_H walks, at least 2·t_1 since m ≤ n, give it at the
+    tighter deviation a/√2.
 
-    The two stages run on each node's generator.  The pilot is
-    t0 = max(1024, ⌈t_H/8⌉) walks, and the cap is Hoeffding's count at
-    deviation a and failure δ/(2n), t_cap = ⌈ℓ²·ln(4n/δ)/(2a²)⌉.
+    Two stages.  Write L_2 = ln(2m/δ) and L_4 = ln(4m/δ).  The pilot is
+    t0 = ⌈4ℓ·√(L_2·L_4)/a⌉ walks per node (at least 8), and the cap is
+    Hoeffding's count at deviation a and failure δ/(2m),
+    t_cap = ⌈ℓ²·L_4/(2a²)⌉.
 
     1. Pilot.  Each node's t0 walks give its sample variance V̂_u (ddof 1).
        For t0 ≥ 2 independent values in [0, 1], Maurer and Pontil
        ("Empirical Bernstein bounds and sample variance penalization", COLT
        2009, Thm 10) give P(σ > √V̂ + √(2·ln(1/δ')/(t0 − 1))) ≤ δ'.  Scaled
-       to [0, ℓ], at δ' = δ/(2n): σ_u ≤ σ̄_u = √V̂_u + ℓ·√(2·ln(2n/δ)/(t0 − 1))
-       except with probability at most δ/(2n).
+       to [0, ℓ], at δ' = δ/(2m): σ_u ≤ σ̄_u = √V̂_u + ℓ·√(2·L_2/(t0 − 1))
+       except with probability at most δ/(2m).
     2. Second stage.  Every node draws t2 = min(t_cap,
-       max_u ⌈(2σ̄_u² + 2ℓa/3)·ln(4n/δ)/a²⌉) more walks, and only these
-       give its mean.  They take the words their generator draws after the
-       pilot's, so given all the pilots, which fix t2, they are independent
+       max_u ⌈(2σ̄_u² + 2ℓa/3)·L_4/a²⌉) more walks, and only these give its
+       mean.  They take the words the generator draws after all the
+       pilots', so given the pilots, which fix t2, they are independent
        draws of X.  Bernstein's inequality for t such draws, each within ℓ
        of μ, is P(|X̄ − μ| ≥ a) ≤ 2·exp(−t·a²/(2σ² + 2ℓa/3)).  Where
-       σ_u ≤ σ̄_u, t2 is at least the count this needs at δ/(2n) with σ_u,
-       or is t_cap, which Hoeffding's inequality needs at δ/(2n) with no
+       σ_u ≤ σ̄_u, t2 is at least the count this needs at δ/(2m) with σ_u,
+       or is t_cap, which Hoeffding's inequality needs at δ/(2m) with no
        variance term.  So a node misses by a with probability at most
-       δ/(2n) given the pilots, on the event σ_u ≤ σ̄_u.
-    3. A union bound over the at most n start nodes and both events of each
-       gives failure at most n·δ/(2n) + n·δ/(2n) = δ.
+       δ/(2m) given the pilots, on the event σ_u ≤ σ̄_u.
+    3. A union bound over the m start nodes and both events of each gives
+       failure at most m·δ/(2m) + m·δ/(2m) = δ.
 
-    Since V̂_u ≥ 0, t2 is at least the count for
-    σ̄_u = ℓ·√(2·ln(2n/δ)/(t0 − 1)), or t_cap if that is smaller.  Where t0
-    and that least t2 together reach t_1, no pilot can pay for itself, and
-    the estimate draws t_1 walks in one stage instead: which path an
-    estimate takes depends on ℓ, a, δ and n only.  Where Hoeffding's count
-    has ℓ²/2, the second stage has 2σ̄_u² + 2ℓa/3, and bounded step counts
-    vary far less than their range.
+    The proof holds for any pilot size fixed before sampling.  At V̂ = 0,
+    t2(t0) = (4ℓ²·L_2/(t0 − 1) + 2ℓa/3)·L_4/a² before rounding, and
+    t0 + t2(t0) is least at t0 − 1 = 2ℓ·√(L_2·L_4)/a.  A node with V̂ > 0
+    adds 2·√V̂·ℓ·√(2·L_2/(t0 − 1)) to σ̄², a term that falls more slowly
+    with t0, so the best pilot is larger; t0 is twice the minimiser at
+    V̂ = 0, which modelled the benchmark's estimates best among the rules
+    compared.  Since V̂_u ≥ 0, t2 is at least t2(t0), or t_cap if that is
+    smaller.  Where t0 and that least t2 together reach t_1, no pilot can
+    pay for itself, and the estimate draws t_1 walks in one stage instead:
+    which path an estimate takes depends on ℓ, a, δ and m only.  Where
+    Hoeffding's count has ℓ²/2, the second stage has 2σ̄_u² + 2ℓa/3, and
+    bounded step counts vary far less than their range.
     """
     config = config or EstimatorConfig()
     if not 0 < config.epsilon < 1:
@@ -534,29 +566,22 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         sub_rng = np.random.default_rng(np.random.SeedSequence(entropy + (1,)))
         sampled = np.sort(sub_rng.choice(reds, size=size, replace=False))
 
-    rngs = [np.random.default_rng(np.random.SeedSequence(entropy + (0, int(u))))
-            for u in sampled]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy + (0,)))
     pilot = pilot_steps = 0
     if config.guarantee and config.samples_per_node is None:
-        trials, pilot, cap = _stage_counts(trials, ell, eps_eff, config.delta,
-                                           instance.n)
+        trials, pilot, cap = _stage_counts(ell, eps_eff, config.delta, sampled.size)
     if pilot:
+        totals, squares, _ = _stage(view, sampled, pilot, ell, rng)
+        pilot_steps = sum(totals)
         # the largest pilot std gives every node's second-stage count
-        spread = 0.0
-        for u, rng_u in zip(sampled, rngs):
-            total, total_sq, _ = _walk_steps(view, int(u), pilot, ell, rng_u)
-            pilot_steps += total
-            spread = max(spread, _sample_std(pilot, total, total_sq))
+        spread = max(_sample_std(pilot, t, q) for t, q in zip(totals, squares))
         trials = min(cap, _bernstein_count(spread, pilot, ell, eps_eff, config.delta,
-                                           instance.n))
+                                           sampled.size))
 
-    per_node = np.empty(sampled.size)
-    walk_steps = 0
-    for j, (u, rng_u) in enumerate(zip(sampled, rngs)):
-        total, _, _ = _walk_steps(view, int(u), trials, ell, rng_u)
-        # an integer sum below 2**53 divided once: the bits of steps.mean()
-        per_node[j] = total / trials
-        walk_steps += total
+    totals, _, _ = _stage(view, sampled, trials, ell, rng)
+    # integer sums below 2**53 divided once: the bits of steps.mean()
+    per_node = np.array([t / trials for t in totals])
+    walk_steps = sum(totals)
 
     return Estimate(
         value=float(per_node.mean()),
@@ -600,7 +625,8 @@ def empirical_hitting(instance, nodes=None, trials: int = 10000, seed: int = 0,
     stds = np.empty(nodes.size)
     for j, u in enumerate(nodes):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, int(u))))
-        total, total_sq, still_red = _walk_steps(view, int(u), trials, max_steps, rng)
+        (total,), (total_sq,), (still_red,) = _walk_steps(view, nodes[j:j + 1], trials,
+                                                          max_steps, rng)
         if still_red:
             raise RuntimeError("absorbing walk exceeded the step budget")
         means[j] = total / trials

@@ -160,8 +160,8 @@ def test_guarantee_mode_halves_epsilon(path5):
     loose = estimate_mean_hitting(path5, config=EstimatorConfig(**shared))
     tight = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, guarantee=True))
     assert tight.walk_length > loose.walk_length
-    assert (tight.walk_length, tight.pilot_samples, tight.samples_per_node) == (19, 17654,
-                                                                                10138)
+    assert (tight.walk_length, tight.pilot_samples, tight.samples_per_node) == (19, 3056,
+                                                                                13778)
     assert tight.pilot_samples + tight.samples_per_node < sample_count(19, 0.1, 0.2, 5)
 
 
@@ -250,7 +250,7 @@ def test_zero_step_limit_draws_nothing(path5, monkeypatch):
     graph = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
     for start in (0, 1, 2):
         rng, fresh = np.random.default_rng(start), np.random.default_rng(start)
-        assert _walk_steps(augmented_view(graph), start, 10, 0, rng) == (0, 0, 10)
+        assert _walk_steps(augmented_view(graph), [start], 10, 0, rng) == ([0], [0], [10])
         assert rng.bit_generator.state == fresh.bit_generator.state
     made = []
     default_rng = np.random.default_rng
@@ -276,16 +276,19 @@ def test_empirical_hitting_needs_two_trials(path5):
     assert means[0] >= 1 and np.isfinite(stds[0])
 
 
-def _reference_walk_steps(instance, shortcuts, start, trials, limit, rng):
+def _reference_walk_steps(instance, shortcuts, starts, trials, limit, rng):
     # the kernel that kept every walk's position and step count, on the
     # base CSR: a node draws among its base degree plus its shortcut count,
-    # and a draw past its base row takes a shortcut, which absorbs the walk
+    # and a draw past its base row takes a shortcut, which absorbs the walk.
+    # Every start's walks sit in one array, start after start, and each
+    # step draws over the live ones.  Returns the steps, one row per start,
+    # and each start's count of walks still red
     indptr, indices, is_red = instance.indptr, instance.indices, instance.is_red
     base = instance.degrees
     degrees = base + shortcut_counts(instance, shortcuts)
-    pos = np.full(trials, start, dtype=np.int64)
-    steps = np.full(trials, limit, dtype=np.int64)
-    alive = np.arange(trials)
+    pos = np.repeat(np.asarray(starts, dtype=np.int64), trials)
+    steps = np.full(pos.size, limit, dtype=np.int64)
+    alive = np.arange(pos.size)
     for step in range(1, limit + 1):
         cur = pos[alive]
         drawn = rng.integers(0, degrees[cur])
@@ -301,16 +304,20 @@ def _reference_walk_steps(instance, shortcuts, start, trials, limit, rng):
             pos[alive] = nxt
         if alive.size == 0:
             break
-    return steps, alive.size
+    return steps.reshape(len(starts), trials), np.bincount(alive // trials,
+                                                           minlength=len(starts))
 
 
-def _kernel_and_reference(graph, start, trials, limit, rng, ref_rng):
+def _kernel_and_reference(graph, starts, trials, limit, rng, ref_rng):
     # graph is an instance, or an (instance, shortcuts) pair; returns the
-    # kernel's (total, total_sq, still_red) and the reference's (steps,
-    # still_red)
+    # kernel's (total, total_sq, still_red) and the reference's, one entry
+    # per start each
     instance, shortcuts = graph if isinstance(graph, tuple) else (graph, None)
-    return (_walk_steps(augmented_view(instance, shortcuts), start, trials, limit, rng),
-            _reference_walk_steps(instance, shortcuts, start, trials, limit, ref_rng))
+    steps, still_red = _reference_walk_steps(instance, shortcuts, starts, trials, limit,
+                                             ref_rng)
+    return (_walk_steps(augmented_view(instance, shortcuts), starts, trials, limit, rng),
+            (steps.sum(axis=1).tolist(), (steps * steps).sum(axis=1).tolist(),
+             still_red.tolist()))
 
 
 @pytest.mark.parametrize("graph, start, limit, survivors", [
@@ -324,18 +331,47 @@ def _kernel_and_reference(graph, start, trials, limit, rng, ref_rng):
     # limits that leave walks unabsorbed
     (gen_path(5, [2]), 0, 3, True),
     (gen_lollipop(5, 3), 7, 6, True),
+    # a limit whose squares overflow int64: the sums are kept as Python ints
+    (gen_path(5, [2]), 0, 2**40, False),
 ])
 def test_walk_kernel_matches_reference(graph, start, limit, survivors):
     trials = 3000
     rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((6, start)))
                     for _ in range(2))
-    (total, total_sq, still_red), (steps, ref_still_red) = _kernel_and_reference(
-        graph, start, trials, limit, rng, ref_rng)
-    assert total == int(steps.sum())
-    assert total_sq == int((steps * steps).sum())
-    assert still_red == ref_still_red
-    assert (still_red > 0) == survivors
+    kernel, reference = _kernel_and_reference(graph, [start], trials, limit, rng, ref_rng)
+    assert kernel == reference
+    assert (kernel[2][0] > 0) == survivors
     # the same draws were consumed; a degree-1 node draws nothing in either
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# planted 4/4 graph 4: red 3's one neighbour is blue, red 1's is red 2
+PLANTED4 = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
+
+
+@pytest.mark.parametrize("graph, starts, trials, limit", [
+    # the leading segment, red 3's, and a later one empty after step 1
+    pytest.param(PLANTED4, [3, 0, 3, 2], 3000, 40, id="empty-segments"),
+    # red 1's degree-1 row draws nothing; its walks share chunks with others
+    pytest.param(PLANTED4, [0, 1, 2], 3000, 40, id="degree-1-row"),
+    # more walks than a chunk: segments span chunks as they compact
+    pytest.param(PLANTED4, [0, 1, 2, 3], _CHUNK // 2 + 9, 40, id="over-a-chunk"),
+    pytest.param(PLANTED4, [0, 1, 2, 3], _CHUNK // 2 + 9, 3, id="over-a-chunk-cut"),
+    pytest.param((PLANTED4, (0, 2, 2)), [0, 1, 2], _CHUNK // 2 + 9, 40,
+                 id="over-a-chunk-shortcuts"),
+    pytest.param(PLANTED4, [0, 1, 2, 3], 10, 0, id="limit-0"),
+])
+def test_walk_kernel_matches_reference_over_several_starts(graph, starts, trials, limit):
+    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((8, len(starts), limit)))
+                    for _ in range(2))
+    kernel, reference = _kernel_and_reference(graph, starts, trials, limit, rng, ref_rng)
+    assert kernel == reference
+    assert len(kernel[0]) == len(starts)
+    if limit == 0:
+        assert kernel == ([0] * len(starts), [0] * len(starts), [trials] * len(starts))
+    if starts[0] == 3:
+        # every walk from red 3 ends at step 1
+        assert kernel[0][0] == kernel[1][0] == trials and kernel[2][0] == 0
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -343,13 +379,12 @@ def test_walk_kernel_matches_reference(graph, start, limit, survivors):
 BOUNDS = (1, 2, 7, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1)
 
 
-def _draw_integers(rng, high, size=None):
+def _draw_integers(rng, high):
     # one word source per call, screened by the largest bound, and the
     # bound-1 scatter only where a bound is 1
     high = high.astype(np.uint64)
     with _words(rng) as draw:
-        return _integers(draw, high, high.size if size is None else size,
-                         high.max(initial=0), bool((high == 1).any()))
+        return _integers(draw, high, high.max(initial=0), bool((high == 1).any()))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -368,10 +403,6 @@ def test_integers_replicates_numpy(seed):
     for bound in BOUNDS:
         high = np.full(500, bound)
         assert np.array_equal(_draw_integers(rng, high), ref_rng.integers(0, high))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # the same bound shared by every draw, as at a walk's first step
-        assert np.array_equal(_draw_integers(rng, high[:1], high.size),
-                              ref_rng.integers(0, high))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -427,11 +458,8 @@ def test_walk_kernel_matches_reference_through_a_rejection(words, trials, bounds
     # the draws numpy makes for the bounds the walks meet, in stream order
     assert _drawing(words).integers(0, np.array(bounds)).tolist() == drawn
     rng, ref_rng = _drawing(words), _drawing(words)
-    (total, total_sq, still_red), (steps, ref_still_red) = _kernel_and_reference(
-        BOUND_THREE, 0, trials, 40, rng, ref_rng)
-    assert total == int(steps.sum())
-    assert total_sq == int((steps * steps).sum())
-    assert still_red == ref_still_red
+    kernel, reference = _kernel_and_reference(BOUND_THREE, [0], trials, 40, rng, ref_rng)
+    assert kernel == reference
     np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
@@ -459,11 +487,8 @@ def test_walk_kernel_matches_reference_across_chunks(graph, start, limit):
     trials = 2 * _CHUNK + 17
     rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((7, start, limit)))
                     for _ in range(2))
-    (total, total_sq, still_red), (steps, ref_still_red) = _kernel_and_reference(
-        graph, start, trials, limit, rng, ref_rng)
-    assert total == int(steps.sum())
-    assert total_sq == int((steps * steps).sum())
-    assert still_red == ref_still_red
+    kernel, reference = _kernel_and_reference(graph, [start], trials, limit, rng, ref_rng)
+    assert kernel == reference
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -493,11 +518,8 @@ def _mt19937(seed):
 def test_walk_kernel_matches_reference_from_any_generator(make_rng, graph, start, limit,
                                                           trials):
     rng, ref_rng = make_rng(start), make_rng(start)
-    (total, total_sq, still_red), (steps, ref_still_red) = _kernel_and_reference(
-        graph, start, trials, limit, rng, ref_rng)
-    assert total == int(steps.sum())
-    assert total_sq == int((steps * steps).sum())
-    assert still_red == ref_still_red
+    kernel, reference = _kernel_and_reference(graph, [start], trials, limit, rng, ref_rng)
+    assert kernel == reference
     # MT19937's state holds its key as an array
     np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
@@ -538,7 +560,7 @@ def test_walk_kernel_peak_memory():
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        _walk_steps(view, 2, trials, 30, rng)
+        _walk_steps(view, [2], trials, 30, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -550,21 +572,41 @@ def test_walk_kernel_peak_memory():
     assert peak <= 8 * trials + 4 * 8 * _CHUNK
 
 
+def test_estimate_peak_memory():
+    # samples_per_node >= _CHUNK: each kernel call walks one start node, so
+    # a four-start estimate holds no more than one start's walks, within
+    # the bound of test_walk_kernel_peak_memory plus the walk table
+    graph = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
+    view = augmented_view(graph)
+    table = view.bound.nbytes + view.target.nbytes + view.first.nbytes
+    trials = 200_000
+    config = EstimatorConfig(seed=0, walk_length=30, spectral_bound=0.5,
+                             samples_per_node=trials, subsample_fraction=1.0)
+    tracemalloc.start()
+    try:
+        est = estimate_mean_hitting(graph, config=config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert est.sampled_nodes.size == 4 and est.samples_per_node == trials
+    assert peak <= 8 * trials + 4 * 8 * _CHUNK + table
+
+
 def test_estimator_stream_is_pinned(path5):
     # a pilot, then fewer walks than Hoeffding's count, which give the means
     est = estimate_mean_hitting(
         path5, config=EstimatorConfig(epsilon=0.2, delta=0.2, seed=11, guarantee=True))
-    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (11, 5917, 8668)
-    assert (est.walk_steps, est.pilot_steps) == (118362, 81235)
+    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (11, 1770, 9871)
+    assert (est.walk_steps, est.pilot_steps) == (135077, 24168)
     assert est.per_node_means.tolist() == [
-        3.9025149976926627, 2.957314259344716, 2.8991693585602216, 3.896054453161052]
+        3.9051767804680377, 2.9288825853510283, 2.9495491844797894, 3.9006179718366933]
     planted = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
     est = estimate_mean_hitting(
         planted, config=EstimatorConfig(epsilon=0.3, delta=0.2, seed=5, guarantee=True))
-    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (29, 20474, 23024)
-    assert (est.walk_steps, est.pilot_steps) == (523746, 463301)
+    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (29, 3110, 24795)
+    assert (est.walk_steps, est.pilot_steps) == (563337, 70446)
     assert est.per_node_means.tolist() == [
-        4.964819318971508, 8.84954829742877, 7.933460736622655, 1.0]
+        4.993547086106069, 8.856745311554748, 7.869489816495261, 1.0]
 
 
 def test_greedy_plus_stream_is_pinned():
@@ -573,13 +615,13 @@ def test_greedy_plus_stream_is_pinned():
     selection, trace = greedy_plus(graph, 1, epsilon=0.25, estimator_config=cfg,
                                    cap_at_k=False)
     assert selection.endpoints == (0, 0, 0, 1, 1, 1, 2, 2, 2, 3)
-    assert trace.endpoints == [2, 0, 1, 0, 2, 1, 3, 1, 2, 0]
+    assert trace.endpoints == [2, 0, 1, 0, 2, 3, 2, 1, 1, 0]
     assert trace.values == [
-        2.131402543829495, 1.9186695278969959, 1.8461954172070905,
-        1.7559551611396544, 1.6642713903743316, 1.6131578947368421,
-        1.570884699057288, 1.5396514935988619, 1.5052631578947369,
-        1.474010861132661]
-    assert trace.evaluations == 34
+        2.0845444877702946, 1.9476212259835315, 1.8493698497333981,
+        1.7428293631502187, 1.647467036780014, 1.6051962209302326,
+        1.5784862043251306, 1.5426241660489253, 1.4959499263622975,
+        1.4807984790874524]
+    assert trace.evaluations == 32
 
 
 @pytest.mark.parametrize("config", [
@@ -596,16 +638,18 @@ def test_only_formula_counts_in_guarantee_mode_run_a_pilot(path5, config):
                                     or sample_count(est.walk_length, 0.2, 0.2, 5))
 
 
-def test_guarantee_mode_without_a_paying_pilot_takes_one_stage(path5):
-    # ell = 7, a = 0.45, n = 5, delta = 0.5: a pilot of 1024 walks alone
-    # reaches Hoeffding's count at delta/n, ceil(49 ln 20 / (2 a**2)) = 363,
-    # so the estimate draws those walks in one stage
-    est = estimate_mean_hitting(path5, config=EstimatorConfig(
+def test_guarantee_mode_without_a_paying_pilot_takes_one_stage():
+    # ell = 5, a = 0.45, m = 4 start nodes, delta = 0.5: the pilot,
+    # ceil(4 ell sqrt(ln 16 ln 32) / a) = 138 walks, and the smallest second
+    # stage, 61, reach Hoeffding's count at delta/m, ceil(25 ln 16 / (2 a**2))
+    # = 172, so the estimate draws those walks in one stage
+    planted = gen_planted_two_community(4, 4, 0.6, 0.3, 0)
+    est = estimate_mean_hitting(planted, config=EstimatorConfig(
         epsilon=0.9, delta=0.5, seed=3, guarantee=True))
-    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (7, 0, 363)
-    assert (est.walk_steps, est.pilot_steps) == (4631, 0)
+    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (5, 0, 172)
+    assert (est.walk_steps, est.pilot_steps) == (1597, 0)
     assert est.per_node_means.tolist() == [
-        3.6170798898071626, 2.7410468319559227, 2.7851239669421486, 3.6143250688705235]
+        2.38953488372093, 2.052325581395349, 2.7325581395348837, 2.11046511627907]
 
 
 @pytest.mark.parametrize("graph, epsilon", [
