@@ -211,7 +211,7 @@ def _run_cell(memo, algorithm, k, fraction, rep, seed, args):
     shortcuts, result = _CALLS[algorithm](memo.instance, k, seed, args, memo)
     wall = (time.perf_counter() - started) * 1000.0
     if not isinstance(result, GreedyTrace):
-        return [row(shortcuts, shortcuts.k_used, result, wall)]
+        return [row(shortcuts, len(shortcuts), result, wall)]
     # one row per incremental edge, scored on the trace's prefix
     endpoints = result.endpoints
     rows = [row(ShortcutSet(endpoints[:j]), j, entry.evaluations, entry.wall_ms)
@@ -258,8 +258,7 @@ def run_sweep(instance, args):
                     seed = _derived_seed(args.seed, ai, fi, rep)
                 try:
                     rows.extend(_run_cell(memo, a, k, frac, rep, seed, args))
-                except (HitminError, AssertionError) as exc:
-                    # AssertionError: a HittingProfile sanity bound failed
+                except HitminError as exc:
                     row = _blank_row(a, k, frac, rep, seed)
                     row["error"] = f"{type(exc).__name__}: {exc}"
                     rows.append(row)
@@ -451,7 +450,7 @@ def main(argv=None) -> int:
             out = {
                 "g": profile.mean_time,
                 "f": profile.max_time,
-                "edges": shortcuts.k_used,
+                "edges": len(shortcuts),
             }
             print(json.dumps(out))
             return 0

@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 _SPECTRAL_CAP = 1.0 - 1e-9
+# power iteration stops at this relative change of the radius, or after the cap
+_SPECTRAL_TOL = 1e-6
+_SPECTRAL_MAX_ITER = 10000
 # walks moved per chunk of a step: 256 KiB per int64 temporary
 _CHUNK = 1 << 15
 # index of the low 32-bit word within a uint64
@@ -145,8 +148,7 @@ def _sample_std(trials, total, total_sq):
     return math.sqrt(Fraction(trials * total_sq - total * total, trials * (trials - 1)))
 
 
-def spectral_radius(instance, shortcuts=None, tol: float = 1e-6,
-                    max_iter: int = 10000) -> float:
+def spectral_radius(instance, shortcuts=None) -> float:
     """Spectral radius of the degree-normalized red-red adjacency block.
 
     M = D^{-1/2} A D^{-1/2}, from the red block's entries
@@ -171,7 +173,7 @@ def spectral_radius(instance, shortcuts=None, tol: float = 1e-6,
     v = rng.random(r)
     v /= np.linalg.norm(v)
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(_SPECTRAL_MAX_ITER):
         half = np.bincount(rows, vals * v[cols], minlength=r)
         w = np.bincount(rows, vals * half[cols], minlength=r)
         nrm = float(np.linalg.norm(w))
@@ -179,7 +181,7 @@ def spectral_radius(instance, shortcuts=None, tol: float = 1e-6,
             return 0.0
         new = math.sqrt(max(float(v @ w), 0.0))
         v = w / nrm
-        if abs(new - est) <= tol * max(new, 1e-12):
+        if abs(new - est) <= _SPECTRAL_TOL * max(new, 1e-12):
             est = new
             break
         est = new
@@ -604,12 +606,13 @@ def empirical_hitting(instance, nodes=None, trials: int = 10000, seed: int = 0,
 
     A plain Monte-Carlo oracle for cross-checking the exact solver on small
     instances, on the estimator's walk kernel and a walk table without
-    shortcuts.  ``max_steps`` is a budget, not a truncation: a walk still
-    red after it raises RuntimeError.  Returns
-    (means, stds) aligned with ``nodes`` (default: all red nodes); the stds
-    use ``ddof=1``, from the kernel's exact integer sums.  Fewer than two
-    trials, or a start node that is blue or out of range, raises
-    InvalidParameter.
+    shortcuts.  Every walk comes from one generator keyed by (seed, 0),
+    walked by ``_stage`` over ``nodes`` in the order given.  ``max_steps``
+    is a budget, not a truncation: a walk still red after it raises
+    RuntimeError.  Returns (means, stds) aligned with ``nodes`` (default:
+    all red nodes); the stds use ``ddof=1``, from the kernel's exact
+    integer sums.  Fewer than two trials, or a start node that is blue or
+    out of range, raises InvalidParameter.
     """
     trials = int(trials)  # a Python int keeps the std's integer formula exact
     if trials < 2:
@@ -620,17 +623,13 @@ def empirical_hitting(instance, nodes=None, trials: int = 10000, seed: int = 0,
     for u in nodes:
         if not 0 <= u < instance.n or not instance.is_red[u]:
             raise InvalidParameter(f"start node {u} is not a red node")
-    view = augmented_view(instance)
-    means = np.empty(nodes.size)
-    stds = np.empty(nodes.size)
-    for j, u in enumerate(nodes):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0, int(u))))
-        (total,), (total_sq,), (still_red,) = _walk_steps(view, nodes[j:j + 1], trials,
-                                                          max_steps, rng)
-        if still_red:
-            raise RuntimeError("absorbing walk exceeded the step budget")
-        means[j] = total / trials
-        stds[j] = _sample_std(trials, total, total_sq)
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
+    totals, squares, still_red = _stage(augmented_view(instance), nodes, trials,
+                                        max_steps, rng)
+    if any(still_red):
+        raise RuntimeError("absorbing walk exceeded the step budget")
+    means = np.array([t / trials for t in totals])
+    stds = np.array([_sample_std(trials, t, q) for t, q in zip(totals, squares)])
     return means, stds
 
 

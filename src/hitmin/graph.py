@@ -211,10 +211,6 @@ class ShortcutSet:
     def __iter__(self):
         return iter(self.endpoints)
 
-    @property
-    def k_used(self) -> int:
-        return len(self.endpoints)
-
     def counts(self) -> Counter:
         return Counter(self.endpoints)
 

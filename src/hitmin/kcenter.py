@@ -27,7 +27,7 @@ from .errors import InstanceTooLarge, InvalidParameter
 from .exact import (DENSE_NODE_LIMIT, SOLVE_BLOCK, _chain, _factored, _passes,
                     _residual, hitting_to_blue, hitting_to_target)
 from .graph import ShortcutSet
-from .optimize import GreedyTrace, brute_force_opt, greedy_exact, greedy_plus
+from .optimize import GreedyTrace, brute_force_opt, greedy_exact
 
 __all__ = [
     "QuasiMetric",
@@ -38,14 +38,10 @@ __all__ = [
     "minmax_via_mean",
     "lower_bound_check",
     "MAX_DENSE_RED",
-    "BLUE_POINT",
 ]
 
 # dense table memory cap: (5000+1)^2 doubles is about 200 MB
 MAX_DENSE_RED = 5000
-
-# sentinel for the synthetic point standing in for the blue group
-BLUE_POINT = "b"
 
 
 @dataclass(frozen=True)
@@ -68,17 +64,6 @@ class QuasiMetric:
     @property
     def blue_index(self) -> int:
         return len(self.red_ids)
-
-    def index_of(self, point) -> int:
-        if point == BLUE_POINT:
-            return self.blue_index
-        pos = int(np.searchsorted(self.red_ids, point))
-        if pos >= len(self.red_ids) or self.red_ids[pos] != point:
-            raise InvalidParameter(f"node {point} is not a red node")
-        return pos
-
-    def distance(self, u, v) -> float:
-        return float(self.table[self.index_of(u), self.index_of(v)])
 
 
 @dataclass(frozen=True)
@@ -260,30 +245,21 @@ def kcenter_shortcuts(instance, k: int, quasi_metric: QuasiMetric | None = None)
     return ShortcutSet(endpoints), solution
 
 
-def minmax_via_mean(instance, k: int, epsilon: float = 0.1,
-                    mode: str = "exact", estimator_config=None,
-                    cap_at_k: bool = True, resume=None):
-    """Run the mean-objective greedy and hand its edges to the max objective.
+def minmax_via_mean(instance, k: int, epsilon: float = 0.1, resume=None):
+    """Run the capped exact mean-objective greedy and hand its edges to the
+    max objective.
 
     A good mean solution is a bounded-factor max solution because the two
     objectives never differ by more than a fixed power of the red group
     size.  Returns the greedy's shortcut set and trace unchanged; callers
-    evaluate the max objective on the augmentation.  ``resume`` goes to
-    ``greedy_exact`` as it is, so it needs the exact mode.
+    evaluate the max objective on the augmentation.  ``epsilon`` and
+    ``resume`` go to ``greedy_exact`` as they are.  The sampled route is
+    ``greedy_plus``.
     """
-    if mode not in ("exact", "estimated"):
-        raise InvalidParameter(f"mode must be 'exact' or 'estimated', got {mode!r}")
-    if resume is not None and mode != "exact":
-        raise InvalidParameter("resume needs mode='exact'")
     if k == 0:
         # zero budget is a legal no-op here even though the greedies demand k >= 1
-        return ShortcutSet(()), GreedyTrace(mode=mode, budget=0)
-    if mode == "exact":
-        return greedy_exact(instance, k, epsilon=epsilon, cap_at_k=cap_at_k,
-                            resume=resume)
-    return greedy_plus(instance, k, epsilon=epsilon,
-                       estimator_config=estimator_config,
-                       cap_at_k=cap_at_k)
+        return ShortcutSet(()), GreedyTrace(mode="exact", budget=0)
+    return greedy_exact(instance, k, epsilon=epsilon, resume=resume)
 
 
 def lower_bound_check(instance, k: int, tol: float = 1e-9,

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from hitmin import (
+    BipartiteInstance,
     EstimatorConfig,
-    HittingProfile,
     ShortcutSet,
+    SolverFailure,
     brute_force_opt,
     build_quasi_metric,
     candidate_endpoints,
@@ -33,6 +34,7 @@ from hitmin import (
     lower_bound_check,
     pure_random,
 )
+from hitmin import exact
 
 
 def test_exact_solver_path_instance():
@@ -190,19 +192,18 @@ def test_center_radius_lower_bound(tiny_batch):
             assert c_star <= m_star + 1e-9
 
 
-def test_ratio_bound_and_growth():
+def test_ratio_bound_and_growth(monkeypatch):
     """Max-to-mean ratio is capped per profile and grows on the star family."""
     start = time.perf_counter()
     # a violating profile needs > 16 nodes: max/mean is at most the node
-    # count, which only exceeds the 2 n^{3/4} cap from n = 17 up
+    # count, which only exceeds the 2 n^{3/4} cap from n = 17 up; the
+    # solve is replaced, so the star's 32 red leaves only give the count
+    star = BipartiteInstance(33, [(r, 32) for r in range(32)], [True] * 32 + [False])
     spiked = np.array([1.0] * 31 + [1000.0])
-    with pytest.raises(AssertionError):
-        HittingProfile(
-            red_ids=np.arange(32),
-            times=spiked,
-            mean_time=float(spiked.mean()),
-            max_time=1000.0,
-        )
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_transient_times", lambda *args: spiked)
+        with pytest.raises(SolverFailure, match="ratio bound violated"):
+            hitting_to_blue(star)
     sizes = [16, 256, 1296, 4096]
     ratios = []
     for n in sizes:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hitmin import InvalidParameter, ShortcutSet, evaluate, load_instance
+from hitmin import InvalidParameter, ShortcutSet, SolverFailure, evaluate, load_instance
 from hitmin.cli import CSV_HEADER, main, parse_gen_spec
 
 
@@ -278,11 +278,11 @@ def test_malformed_gen_spec_is_a_clean_error(capsys):
 
 
 def test_run_sweep_records_assertion_failures_and_continues(tmp_path, monkeypatch):
-    # a HittingProfile sanity bound raises AssertionError; only its cell fails
+    # hitting_to_blue's ratio sanity gate raises SolverFailure; only its cell fails
     import hitmin.cli
 
     def violated(instance, k):
-        raise AssertionError("max/mean hitting-time ratio bound violated")
+        raise SolverFailure("max/mean hitting-time ratio bound violated")
 
     monkeypatch.setattr(hitmin.cli, "top_hitting_baseline", violated)
     out = tmp_path / "assert.csv"
@@ -293,7 +293,7 @@ def test_run_sweep_records_assertion_failures_and_continues(tmp_path, monkeypatc
     rows = read_rows(out)
     failed = [r for r in rows if r["algorithm"] == "top_hitting"]
     assert len(failed) == 1
-    assert failed[0]["error"].startswith("AssertionError")
+    assert failed[0]["error"].startswith("SolverFailure: max/mean")
     assert failed[0]["g_exact"] == ""
     greedy = [r for r in rows if r["algorithm"] == "greedy"]
     assert [(r["edges"], r["g_exact"]) for r in greedy] == [("1", "2.75"), ("2", "2.0")]

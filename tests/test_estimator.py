@@ -228,11 +228,22 @@ def test_empirical_hitting_agrees_with_solver(path5):
 
 
 def test_empirical_hitting_stream_is_pinned(path5):
-    # recorded from the kernel that drew with rng.integers(0, deg)
+    # recorded from _reference_walk_steps walking path5's red nodes one at a
+    # time (20000 walks fill more than half a chunk) on one generator keyed
+    # (2, 0), with each std from the exact integer sums
     means, stds = empirical_hitting(path5, trials=20000, seed=2)
-    assert means.tolist() == [4.008, 3.0092, 3.0093, 4.0301]
+    assert means.tolist() == [4.008, 2.9996, 3.0126, 4.0319]
     assert stds.tolist() == [
-        2.786453698917463, 2.833075480080577, 2.869934726830353, 2.834236340671282]
+        2.786453698917463, 2.8555222885449556, 2.827833282223972, 2.8632136297549438]
+
+
+def test_empirical_hitting_keeps_unsorted_repeated_starts_aligned(path5):
+    # node 4 is walked twice, on different draws of the one generator
+    trials = 20000
+    means, stds = empirical_hitting(path5, [4, 0, 4], trials=trials, seed=5)
+    exact = hitting_to_blue(path5).times[[3, 0, 3]]
+    assert np.all(np.abs(means - exact) <= 4 * stds / np.sqrt(trials))
+    assert means[0] != means[2]
 
 
 def test_empirical_hitting_enforces_step_budget(path5):

@@ -10,7 +10,6 @@ import scipy.sparse.linalg
 
 from hitmin import (
     BipartiteInstance,
-    HittingProfile,
     InvalidParameter,
     ShortcutSet,
     SolverFailure,
@@ -107,19 +106,20 @@ def test_blue_endpoint_choice_is_irrelevant():
     assert t2.max_time == t3.max_time
 
 
-def test_profile_ratio_is_hard_asserted():
-    # max/mean never exceeds the red count, and the asserted bound
-    # 2 n^{3/4} mean only dips below n*mean once n > 16, so a violating
-    # profile needs at least 17 nodes; one big spike among 31 units does it
-    ids = np.arange(32)
-    times = np.array([1.0] * 31 + [1000.0])
-    with pytest.raises(AssertionError):
-        HittingProfile(red_ids=ids, times=times,
-                       mean_time=float(times.mean()), max_time=1000.0)
+def test_profile_ratio_is_hard_asserted(monkeypatch):
+    # max/mean never exceeds the red count, and the gated bound 2 n^{3/4}
+    # mean only dips below n*mean once n > 16, so a violating profile needs
+    # at least 17 red nodes; one big spike among 31 units does it.  The
+    # solve is replaced, so the star's 32 red leaves only give the count
+    star = BipartiteInstance(33, [(r, 32) for r in range(32)], [True] * 32 + [False])
+    spiked = np.array([1.0] * 31 + [1000.0])
+    monkeypatch.setattr(exact, "_transient_times", lambda *args: spiked)
+    with pytest.raises(SolverFailure, match="ratio bound violated"):
+        hitting_to_blue(star)
     # the same shape with a mild spike stays legal
     calm = np.array([1.0] * 31 + [20.0])
-    HittingProfile(red_ids=ids, times=calm,
-                   mean_time=float(calm.mean()), max_time=20.0)
+    monkeypatch.setattr(exact, "_transient_times", lambda *args: calm)
+    assert hitting_to_blue(star).max_time == 20.0
 
 
 def test_dense_and_sparse_paths_agree():

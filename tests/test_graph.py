@@ -60,7 +60,6 @@ def test_path_degrees_and_ids(path5):
 def test_shortcut_set_is_sorted_and_counted():
     s = ShortcutSet((4, 0, 4))
     assert s.endpoints == (0, 4, 4)
-    assert s.k_used == 3
     assert len(s) == 3
     assert dict(s.counts()) == {0: 1, 4: 2}
     assert s.with_added(0).endpoints == (0, 0, 4, 4)

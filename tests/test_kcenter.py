@@ -49,18 +49,11 @@ def test_path5_table(path5):
 
 
 def test_asymmetry_witness(path3):
-    qm = build_quasi_metric(path3)
-    assert qm.distance(0, 1) == pytest.approx(1.0, abs=1e-9)
-    assert qm.distance(1, 0) == pytest.approx(3.0, abs=1e-9)
-    assert qm.distance("b", "b") == 0.0
-
-
-def test_distance_lookup_errors(path3):
-    qm = build_quasi_metric(path3)
-    with pytest.raises(InvalidParameter):
-        qm.index_of(2)  # blue node id is not a point; use "b"
-    with pytest.raises(InvalidParameter):
-        qm.index_of(99)
+    # path3's red nodes 0 and 1 are the table's first two points
+    table = build_quasi_metric(path3).table
+    assert table[0, 1] == pytest.approx(1.0, abs=1e-9)
+    assert table[1, 0] == pytest.approx(3.0, abs=1e-9)
+    assert table[-1, -1] == 0.0
 
 
 def test_triangle_inequality_everywhere(path3, path5):
@@ -110,7 +103,7 @@ def test_fixed_center_saturating_budget(path5):
 def test_center_radius_is_recomputed(path5):
     qm = build_quasi_metric(path5)
     sol = asym_k_center_fixed(qm, 2)
-    cols = [qm.index_of(c) for c in sol.centers] + [qm.blue_index]
+    cols = list(np.searchsorted(qm.red_ids, sol.centers)) + [qm.blue_index]
     radius = qm.table[: len(qm.red_ids), cols].min(axis=1).max()
     assert sol.radius == pytest.approx(radius, abs=1e-12)
 
@@ -142,7 +135,7 @@ def test_kcenter_shortcuts_respects_budget_and_objective():
 
 
 def test_minmax_via_mean_exact(path5):
-    shortcuts, trace = minmax_via_mean(path5, 2, mode="exact")
+    shortcuts, trace = minmax_via_mean(path5, 2)
     assert shortcuts.endpoints == (0, 4)
     assert evaluate(path5, shortcuts, objective="max") == pytest.approx(2.0)
     assert trace.mode == "exact"
@@ -160,25 +153,13 @@ def test_shared_quasi_metric_and_resumed_greedy_match_fresh_runs(path5):
     fresh_sel, fresh = minmax_via_mean(inst, 4)
     assert sel == fresh_sel and trace.values == fresh.values
     assert trace.evaluations == fresh.evaluations
-    with pytest.raises(InvalidParameter):
-        minmax_via_mean(inst, 4, mode="estimated", resume=earlier)
-
-
-def test_minmax_via_mean_estimated(path5):
-    from hitmin import EstimatorConfig
-
-    cfg = EstimatorConfig(epsilon=0.1, delta=0.1, seed=6, guarantee=True)
-    shortcuts, trace = minmax_via_mean(path5, 2, mode="estimated", estimator_config=cfg)
-    assert shortcuts.endpoints == (0, 4)
-    assert trace.mode == "estimated"
 
 
 def test_minmax_via_mean_zero_budget(path5):
     shortcuts, trace = minmax_via_mean(path5, 0)
     assert shortcuts.endpoints == ()
     assert evaluate(path5, shortcuts, objective="max") == pytest.approx(4.0)
-    with pytest.raises(InvalidParameter):
-        minmax_via_mean(path5, 1, mode="sampled")
+    assert trace.mode == "exact" and trace.budget == 0
 
 
 def test_lower_bound_frozen(path5):

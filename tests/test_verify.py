@@ -45,7 +45,7 @@ def test_summary_formatting(path5):
 
 
 @pytest.mark.parametrize("error", [SolverFailure("residual too large"),
-                                   AssertionError("ratio bound violated")])
+                                   SolverFailure("ratio bound violated")])
 def test_failed_solve_is_a_fail_line(monkeypatch, capsys, path5, error):
     def failing(*args, **kwargs):
         raise error
