@@ -19,30 +19,24 @@ could not pay for itself, the estimate takes Hoeffding's count in one
 stage.  ``estimate_mean_hitting`` states and proves the guarantee.  Every
 other estimate takes its count in one stage.
 
-One batched kernel runs every walk.  It reads the red rows through one
-walk table per estimate, ``graph.augmented_view``, built from the base CSR
-and the shortcut counts.  It walks several start nodes at once: it keeps
-one int64 array of the row starts of the walks still red, each start's
-walks a contiguous segment, and sums each start's step counts, and their
-squares, into exact integers.  Each step moves the live walks in
-fixed-size chunks, so its other memory is a few chunk-sized temporaries.
-Its draws are those of one ``rng.integers(0, deg)`` over the live walks per
-step, in start order, reproduced exactly by a bulk draw of 32-bit words per
-chunk: two per raw 64-bit draw for PCG64, from one word source per kernel
-call that reads and writes the generator's state once, and through
-``rng.integers`` otherwise.  An estimate draws all its walks from one
-generator, stage after stage, in kernel calls of as many start nodes as
-fill one chunk, or of one.  The spectral radius reads the red block's
-entries from ``graph.block_entries`` and the bounded-step expectation reads
-the block from ``exact._chain``, each with the shortcuts added to the red
-degrees.
+One kernel, ``_stage``, runs every walk, a whole stage of an estimate in
+one call.  It reads the red rows through one count table per estimate,
+``graph.augmented_view``, built from the base CSR and the shortcut counts.
+It walks occupancy counts, how many of each start node's walks stand on each
+red node, and each step splits every count over the node's red neighbours
+and one absorbed category with one broadcast ``Generator.multinomial`` call
+per bucket of the table.  So a step costs what the occupied (start, node)
+pairs cost, whatever the number of walks, and each start's sum of step
+counts, and of their squares, come from its live counts as exact integers.
+An estimate draws all its walks from one generator, stage after stage.  The
+spectral radius reads the red block's entries from ``graph.block_entries``
+and the bounded-step expectation reads the block from ``exact._chain``,
+each with the shortcuts added to the red degrees.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -67,10 +61,6 @@ _SPECTRAL_CAP = 1.0 - 1e-9
 # power iteration stops at this relative change of the radius, or after the cap
 _SPECTRAL_TOL = 1e-6
 _SPECTRAL_MAX_ITER = 10000
-# walks moved per chunk of a step: 256 KiB per int64 temporary
-_CHUNK = 1 << 15
-# index of the low 32-bit word within a uint64
-_LOW_WORD = 0 if sys.byteorder == "little" else 1
 
 
 def truncation_length(mean_red_degree: float, epsilon: float, spectral_bound: float) -> int:
@@ -257,178 +247,73 @@ class Estimate:
         return self.walk_length == 1
 
 
-@contextmanager
-def _words(rng):
-    """A source of the 32-bit words of successive ``rng.integers(0, 2**32,
-    size=size, dtype=np.uint64)`` calls, as ``draw(size)``; on exit the
-    generator's state is what those calls would leave.
-
-    NumPy takes each word from the bit generator's ``next_uint32``.  PCG64's
-    gives the low then the high half of one 64-bit output and holds the high
-    half as a pending word (``has_uint32``, ``uinteger``); ``uinteger`` keeps
-    it after it is taken, and ``random_raw`` touches neither.  So on a
-    little-endian host one ``random_raw`` draw viewed as uint32 gives two
-    words.  The source reads the pending word from the state once on entry,
-    carries it from draw to draw, and writes ``has_uint32`` and ``uinteger``
-    back once on exit, only if they changed.  Any other bit generator, or
-    host, draws each call's words through ``rng.integers``.
-    """
-    bit_generator = rng.bit_generator
-    if type(bit_generator) is not np.random.PCG64 or sys.byteorder != "little":
-        yield lambda size: rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
-        return
-    state = bit_generator.state
-    has, uinteger = state["has_uint32"], state["uinteger"]
-
-    def draw(size):
-        nonlocal has, uinteger
-        if not size:
-            return np.empty(0, dtype=np.uint32)
-        fresh = size - has
-        raw = bit_generator.random_raw((fresh + 1) // 2)
-        words = raw.view(np.uint32)[:fresh]
-        if has:
-            words = np.concatenate((np.array([uinteger], dtype=np.uint32), words))
-        if fresh:
-            uinteger = int(raw[-1]) >> 32
-        has = fresh % 2
-        return words
-
-    try:
-        yield draw
-    finally:
-        if (has, uinteger) != (state["has_uint32"], state["uinteger"]):
-            # the raw draws advanced the state read on entry
-            state = bit_generator.state
-            state["has_uint32"], state["uinteger"] = has, uinteger
-            bit_generator.state = state
-
-
-def _integers(draw, high, screen, ones):
-    """``rng.integers(0, high)`` for an array of uint64 bounds in [1, 2**32),
-    bit for bit, from the words of ``draw`` (``_words(rng)``).
-
-    ``screen`` is at least every bound.  ``ones`` is false only when no
-    bound is 1, so that a table without degree-1 rows skips the check.
-
-    NumPy draws each element alone, by Lemire's multiply-shift ("Fast
-    random integer generation in an interval", ACM TOMACS 2019): a bound of
-    1 draws nothing; any other bound h takes one ``next_uint32`` value x and
-    returns the high word of m = x·h, unless the low word of m is below
-    (2**32 − h) mod h, when it draws again.  ``rng.integers(0, 2**32,
-    size=n, dtype=np.uint64)`` takes exactly n ``next_uint32`` values, so
-    one bulk draw of words and one multiply give the same words.  An
-    element with a bound of 1 takes the word 2**32 − 1 without a draw: its
-    product's high word is 0, the result, and its low word is at least
-    every threshold, so it never rejects.  Every threshold is below its
-    bound, so no low word of at least ``screen`` rejects: one reduction
-    settles the common case.  A rejection, at most once in 2**32/h draws,
-    moves that element and every later one that draws a draw along and
-    takes one more draw at the end.  Only a call that holds a bound of 1
-    scatters its words past those elements.
-    """
-    size = high.size
-    if ones and high.min() == 1:
-        drawing = np.flatnonzero(high > 1)
-        words = np.full(size, (1 << 32) - 1, dtype=np.uint32)
-        words[drawing] = draw(drawing.size)
-        del drawing  # dead: freed before the product allocates
-    else:
-        words = draw(size)
-    m = words * high
-    low = m.view(np.uint32)[_LOW_WORD::2]
-    first = 0
-    while first < size and low[first:].min() < screen:
-        rest = high[first:]
-        rejected = np.flatnonzero(low[first:] < (np.uint64(1 << 32) - rest) % rest)
-        if not rejected.size:
-            break
-        first += int(rejected[0])
-        drawing = first + np.flatnonzero(high[first:] > 1)
-        m[drawing[:-1]] = m[drawing[1:]] // high[drawing[1:]] * high[drawing[:-1]]
-        m[drawing[-1]] = int(draw(1)[0]) * int(high[drawing[-1]])
-    m >>= 32
-    return m.view(np.int64)
-
-
-def _walk_steps(view, starts, trials, limit, rng):
-    """``trials`` absorbing walks from each of ``starts``, cut at ``limit`` steps.
-
-    Returns (total, total_sq, still_red), three lists with one int per
-    start: the sum and the sum of squares of its walks' step counts, each
-    walk counting the step at its first blue node or ``limit`` if it is not
-    absorbed by then, and the number of its walks still red at ``limit``.
-    The state is one array of the row starts of the live walks, start after
-    start in the order given, each start's walks a contiguous segment,
-    read through the walk table ``view`` (``graph.AugmentedView``);
-    ``ends`` holds each segment's end.  Each step draws one
-    ``rng.integers(0, deg)`` over the live walks, reproduced by
-    ``_integers`` from one word source (``_words``), so the generator's
-    state is read and written once per call.  The drawn slot is the row
-    start plus the draw, so one gather of the bounds and one of the drawn
-    slots' targets, with a sign test, find the walks still red, and a take
-    by index compacts them.  It runs in chunks of ``_CHUNK`` walks, each
-    drawing after the one before and compacting its survivors into the
-    front of the array, so the stream is that of one draw per step and the
-    temporaries stay cache-sized; a segment may span chunks.  A walk live
-    at the start of step s adds 1 to its sum and 2s − 1 to its sum of
-    squares, so each step adds the segment ends to running sums over the
-    segments, and one difference at the end gives the sums per start.
-    They are exact: int64 while they cannot overflow, Python ints
-    otherwise.  A ``limit`` of 0 draws nothing.
-    """
-    bound, target, largest, ones = view.bound, view.target, view.largest, view.ones
-    pos = np.repeat(view.first[np.searchsorted(view.red_ids, starts)], trials)
-    ends = np.arange(1, len(starts) + 1, dtype=np.int64) * trials
-    exact = np.int64 if pos.size * int(limit) ** 2 < 1 << 63 else object
-    total = np.zeros(ends.size, dtype=exact)
-    total_sq = np.zeros(ends.size, dtype=exact)
-    with _words(rng) as draw:
-        for step in range(1, limit + 1):
-            live = ends.astype(exact, copy=False)
-            total += live
-            total_sq += (2 * step - 1) * live
-            walks, kept = int(ends[-1]), 0
-            kept_ends = np.zeros(ends.size, dtype=np.int64)
-            for lo in range(0, walks, _CHUNK):
-                cur = pos[lo:min(lo + _CHUNK, walks)]
-                slot = _integers(draw, bound.take(cur), largest, ones)
-                slot += cur
-                nxt = target.take(slot)
-                del slot  # dead: freed before the filter allocates
-                red = np.flatnonzero(nxt >= 0)
-                # kept <= lo: the survivors never overwrite a walk still to
-                # move; every index is in range, and "clip" writes straight
-                # into out where "raise" would write a copy first
-                nxt.take(red, out=pos[kept:kept + red.size], mode="clip")
-                kept += red.size
-                # this chunk's survivors that lie before each segment's end
-                kept_ends += np.searchsorted(red, ends - lo)
-                del nxt, red  # dead: freed before the next chunk draws
-            ends = kept_ends
-            if not kept:
-                break
-    # a walk still red at limit took limit steps, counted above
-    return _per_start(total), _per_start(total_sq), _per_start(ends)
-
-
-def _per_start(running):
-    """Python ints, one per segment, from running sums over the segments."""
-    running = running.tolist()
-    return [b - a for a, b in zip([0] + running[:-1], running)]
-
-
 def _stage(view, starts, trials, limit, rng):
-    """``_walk_steps`` over ``starts`` in calls of at most max(1, _CHUNK //
-    trials) starts each, in order, so no call holds more than max(trials,
-    _CHUNK) walks; the three lists cover every start."""
-    per_call = max(1, _CHUNK // trials)
-    sums = ([], [], [])
-    for lo in range(0, len(starts), per_call):
-        for acc, part in zip(sums, _walk_steps(view, starts[lo:lo + per_call], trials,
-                                               limit, rng)):
-            acc.extend(part)
-    return sums
+    """``trials`` absorbing walks from each of ``starts``, cut at ``limit``
+    steps, walked as occupancy counts.
+
+    Returns (total, total_sq, live), three lists with one int per start:
+    the sum and the sum of squares of its walks' step counts, each walk
+    counting the step at its first blue node or ``limit`` if it is not
+    absorbed by then, and the number of its walks that take step ``limit``
+    (all of them for a ``limit`` of 0).  A walk live at step s adds 1 to its
+    sum and 2s − 1 to its sum of squares, so the sums need only each
+    start's live count per step.  The state is how many of each start's
+    walks stand on each red node: one int64 count per occupied (start,
+    node) pair, keyed row·m + i for the node's row in the count table
+    ``view`` (``graph.AugmentedView``) and start i of m, and sorted, so that
+    the pairs on one bucket of the table are one slice.  Each step but the
+    last splits every count over its row's categories with one
+    ``rng.multinomial`` per occupied bucket, whose draws are those of one
+    ``rng.multinomial`` per pair in key order; drops what is absorbed, and
+    what stood on a row with no bucket; and sums what lands on each pair.
+    So a step costs O(occupied pairs × row width), whatever ``trials`` is.
+    The sums are exact: int64 while they cannot overflow, Python ints
+    otherwise.  A ``limit`` of at most 1 draws nothing.
+    """
+    m = len(starts)
+    exact = np.int64 if int(trials) * int(limit) ** 2 < 1 << 63 else object
+    total = np.zeros(m, dtype=exact)
+    total_sq = np.zeros(m, dtype=exact)
+    live = np.full(m, trials, dtype=exact)
+    key = np.sort(view.row[np.searchsorted(view.red_ids, starts)] * m + np.arange(m))
+    rows, start = np.divmod(key, m)
+    count = np.full(m, trials, dtype=np.int64)
+    for step in range(1, limit + 1):
+        total += live
+        total_sq += (2 * step - 1) * live
+        if step == limit:
+            break
+        keys, counts = [], []
+        for lo, pvals, targets in view.buckets:
+            a, b = rows.searchsorted((lo, lo + len(pvals)))
+            if a == b:
+                continue
+            at = rows[a:b] - lo
+            # category 0 absorbs; the padding's counts are 0
+            split = rng.multinomial(count[a:b], pvals.take(at, axis=0))[:, 1:]
+            into = targets.take(at, axis=0)[:, 1:] * m
+            into += start[a:b, None]
+            moved = split > 0
+            keys.append(into[moved])
+            counts.append(split[moved])
+        if not any(part.size for part in keys):
+            live = np.zeros(m, dtype=exact)
+            break
+        key, count = ((keys[0], counts[0]) if len(keys) == 1
+                      else (np.concatenate(keys), np.concatenate(counts)))
+        order = key.argsort()
+        key, count = key[order], count[order]
+        # one count per pair: the sum of what each row sent there
+        first = np.empty(key.size, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        first = first.nonzero()[0]
+        rows, start = np.divmod(key[first], m)
+        count = np.add.reduceat(count, first)
+        live = np.zeros(m, dtype=np.int64)
+        np.add.at(live, start, count)
+        live = live.astype(exact, copy=False)
+    return total.tolist(), total_sq.tolist(), live.tolist()
 
 
 def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | None = None) -> Estimate:
@@ -436,12 +321,24 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
 
     Deterministic for a fixed (instance, shortcuts, config): the start-node
     subsample draws from a generator keyed by (seed, 1), and every walk from
-    one keyed by (seed, 0), stage after stage.  A stage of t walks per node
-    walks the sampled nodes in ascending order, in kernel calls of at most
-    max(1, ``_CHUNK`` // t) nodes, so that no call holds more than
-    max(t, ``_CHUNK``) walks.  The walks run on the walk table
-    ``augmented_view(instance, shortcuts)``, where a draw of a shortcut slot
-    absorbs the walk.
+    one keyed by (seed, 0), stage after stage, each stage one ``_stage`` call
+    over the sampled nodes in ascending order.  The walks run on the count
+    table ``augmented_view(instance, shortcuts)``, where a shortcut absorbs
+    the walk.
+
+    The walks' law.  ``_stage`` moves counts, not walks: each step splits
+    the c walks on red node v, of degree d with r red neighbours, by one
+    multinomial draw of c over its red neighbours, 1/d each, and
+    absorption, (d − r)/d.  Given the counts, walks step independently, so
+    the counts, and every sum taken from them, have the law of t
+    independent walks per start node on the uniform-neighbour chain, up to
+    the float rounding of those probabilities in the chain of binomial draws
+    numpy's multinomial makes.  Exact integer draws per walk would avoid
+    that rounding, but cost a draw per walk and step; the kernel that
+    reproduced ``rng.integers(0, deg)`` walk by walk, bit for bit, was
+    dropped on purpose for one whose steps cost what the occupied (start,
+    node) pairs cost, not what t does.  The proof below takes each stage's
+    sums as sums of independent draws of X.
 
     The guarantee.  Let ℓ be the walk length, a = epsilon/2 and m the number
     of sampled start nodes: m = |R| in guarantee mode, which samples every
@@ -476,7 +373,7 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
        except with probability at most δ/(2m).
     2. Second stage.  Every node draws t2 = min(t_cap,
        max_u ⌈(2σ̄_u² + 2ℓa/3)·L_4/a²⌉) more walks, and only these give its
-       mean.  They take the words the generator draws after all the
+       mean.  They take the draws the generator makes after all the
        pilots', so given the pilots, which fix t2, they are independent
        draws of X.  Bernstein's inequality for t such draws, each within ℓ
        of μ, is P(|X̄ − μ| ≥ a) ≤ 2·exp(−t·a²/(2σ² + 2ℓa/3)).  Where
@@ -526,7 +423,7 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
 
     eps_eff = config.epsilon / 2.0 if config.guarantee else config.epsilon
     # the red rows' slot count is their degrees' sum, counting the shortcuts
-    mean_red_degree = view.bound.size / view.red_ids.size
+    mean_red_degree = view.slots / view.red_ids.size
     ell_formula = truncation_length(mean_red_degree, eps_eff, lam)
     if config.walk_length is not None:
         if config.walk_length < 1:
@@ -605,7 +502,7 @@ def empirical_hitting(instance, nodes=None, trials: int = 10000, seed: int = 0,
     """Unbounded absorbing-walk sample means and standard deviations.
 
     A plain Monte-Carlo oracle for cross-checking the exact solver on small
-    instances, on the estimator's walk kernel and a walk table without
+    instances, on the estimator's walk kernel and a count table without
     shortcuts.  Every walk comes from one generator keyed by (seed, 0),
     walked by ``_stage`` over ``nodes`` in the order given.  ``max_steps``
     is a budget, not a truncation: a walk still red after it raises
@@ -624,9 +521,10 @@ def empirical_hitting(instance, nodes=None, trials: int = 10000, seed: int = 0,
         if not 0 <= u < instance.n or not instance.is_red[u]:
             raise InvalidParameter(f"start node {u} is not a red node")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
-    totals, squares, still_red = _stage(augmented_view(instance), nodes, trials,
-                                        max_steps, rng)
-    if any(still_red):
+    # a walk that takes step max_steps + 1 is still red after the budget
+    totals, squares, over = _stage(augmented_view(instance), nodes, trials,
+                                   max_steps + 1, rng)
+    if any(over):
         raise RuntimeError("absorbing walk exceeded the step budget")
     means = np.array([t / trials for t in totals])
     stds = np.array([_sample_std(trials, t, q) for t, q in zip(totals, squares)])
@@ -642,7 +540,7 @@ def expected_bounded_steps(instance, shortcuts=None, length: int = 1) -> np.ndar
     the red chain's adjacency (``exact._chain``), each divided by the
     degrees; no sampling is involved.  This is the quantity the walk
     estimator is unbiased for, and it never exceeds the exact hitting time.
-    Shortcuts only add to the red degrees, so no walk table is built.
+    Shortcuts only add to the red degrees, so no count table is built.
     """
     if length < 0:
         raise InvalidParameter(f"length must be >= 0, got {length}")

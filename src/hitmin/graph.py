@@ -14,8 +14,9 @@ endpoints: the objectives depend on nothing else, so every consumer reads
 only the counts, and no blue partner is ever chosen.  The exact solves, the
 spectral radius and the bounded-step expectation take them as
 ``degrees + shortcut_counts(...)``.  The walks read an ``AugmentedView``, a
-table of the red rows built from the base CSR and the counts, whose rows end
-in one absorbing slot per shortcut.
+table of the red rows built from the base CSR and the counts, each row the
+probabilities of a step to each red neighbour and of absorption, blue
+neighbours and shortcuts together.
 """
 
 from __future__ import annotations
@@ -227,43 +228,67 @@ class ShortcutSet:
 
 
 class AugmentedView:
-    """Walk table: the red rows of a base instance with shortcuts, as the
-    walk kernel reads them, for walks that start at red nodes and stop at
+    """Count table: the red rows of a base instance with shortcuts, as the
+    walk kernel splits them, for walks that start at red nodes and stop at
     the first blue node they reach.
 
-    A walk at a red node is held as the slot where that node's row starts.
-    Red row r is its base row followed by ``counts[r]`` absorbing slots.
-    Per slot, ``bound`` holds the row's degree as a uint64 bound for the
-    kernel's draws and ``target`` the row start of the slot's target, or −1
-    where a step to it is absorbed.  ``first`` holds each red node's row
-    start, in ``red_ids`` order; ``largest`` is the largest red degree and
-    ``ones`` whether some red row has degree 1.  The base is never modified.
+    Red node v of degree d, its base degree plus its shortcuts, with r red
+    neighbours sends a walk to each red neighbour with probability 1/d and
+    absorbs it, at a blue neighbour or a shortcut, with probability
+    (d − r)/d.  Its table row, read from the red block's entries
+    (``block_entries``), holds these r + 1 categories in r + 1 rounded up to
+    a power of two, and at least 8, columns: the absorbed one first, then
+    zero padding, then the red neighbours in CSR order.  So a multinomial
+    draw takes the absorbed share first, at one rounding of (d − r)/d; each
+    padding column's probability is 0 over a remainder of at least about
+    1/d, never 0/0; and the last category, which the draw leaves to the
+    remainder, is a red neighbour.
+
+    Rows of one width form a bucket: ``buckets`` holds one (lo, pvals,
+    targets) per width, ascending, for the table rows lo, lo + 1, ...;
+    ``pvals`` holds each category's probability and ``targets`` its table
+    row, or −1 where it absorbs or pads.  A node with no red neighbour
+    absorbs every walk at its next step and has a row in no bucket; those
+    rows come first.  ``row`` holds each red node's table row, in
+    ``red_ids`` order, and ``slots`` the red rows' slot count, the sum of
+    their degrees.  A row holds at most max(8, 2r) numbers per array, so the
+    table is O(red slots), with no padding to the largest degree.  The base
+    is never modified.
     """
 
     def __init__(self, base, shortcuts):
         reds = base.red_ids
-        extra = shortcut_counts(base, shortcuts)[reds]
-        base_degrees = base.degrees[reds]
-        degrees = base_degrees + extra
-        # numpy takes a bound of 2**32 as a raw word, which the kernel's
-        # draws do not; checked before any array sized by the degrees
-        self.largest = int(degrees.max())
-        assert self.largest < 1 << 32, "a degree of 2**32 or more"
-        first = np.zeros(reds.size + 1, dtype=np.int64)
-        np.cumsum(degrees, out=first[1:])
-        start = np.full(base.n, -1, dtype=np.int64)
-        start[reds] = first[:-1]
-        # the red rows' base slots, row after row: each targets its
-        # neighbour's row start, −1 for a blue one; then the shortcut slots
-        ends = np.cumsum(base_degrees)
-        slots = np.repeat(base.indptr[reds] - (ends - base_degrees), base_degrees)
-        slots += np.arange(slots.size)
-        self.target = np.insert(start[base.indices[slots]], np.repeat(ends, extra), -1)
-        self.bound = np.repeat(degrees.astype(np.uint64), degrees)
-        self.red_ids, self.first = reds, first[:-1]
-        self.ones = bool((degrees == 1).any())
-        for arr in (self.bound, self.target, self.first):
-            arr.setflags(write=False)
+        degrees = (base.degrees + shortcut_counts(base, shortcuts))[reds]
+        rows, cols = block_entries(base, reds)
+        red = np.bincount(rows, minlength=reds.size)
+        # 2**bit_length(r), the least power of two above r, and at least 8
+        # so that small rows share one multinomial call; 0 without a red
+        # neighbour
+        width = (8 << np.frexp(red >> 3)[1].astype(np.int64)) * (red > 0)
+        order = np.argsort(width, kind="stable")
+        row = np.empty(reds.size, dtype=np.int64)
+        row[order] = np.arange(reds.size)
+        # each red entry's column: its rank within its row, after the
+        # absorbed category and the padding
+        col = (width - red)[rows] + np.arange(rows.size) - np.repeat(np.cumsum(red) - red, red)
+        buckets, lo = [], 0
+        for w in np.unique(width).tolist():
+            members = order[lo:lo + int((width == w).sum())]
+            if w:
+                pvals = np.zeros((members.size, w))
+                targets = np.full((members.size, w), -1, dtype=np.int64)
+                pvals[:, 0] = ((degrees - red) / degrees)[members]
+                inside = width[rows] == w
+                at = (row[rows[inside]] - lo, col[inside])
+                pvals[at] = 1.0 / degrees[rows[inside]]
+                targets[at] = row[cols[inside]]
+                for arr in (pvals, targets):
+                    arr.setflags(write=False)
+                buckets.append((lo, pvals, targets))
+            lo += members.size
+        row.setflags(write=False)
+        self.red_ids, self.row, self.buckets = reds, row, tuple(buckets)
+        self.slots = int(degrees.sum())
 
 
 def _check_edges(n, u, v):
@@ -306,7 +331,7 @@ def block_entries(graph, nodes):
 
 
 def augmented_view(instance, shortcuts=None) -> AugmentedView:
-    """Walk table of ``instance`` with ``shortcuts``; see ``AugmentedView``."""
+    """Count table of ``instance`` with ``shortcuts``; see ``AugmentedView``."""
     return AugmentedView(instance, shortcuts)
 
 

@@ -1,7 +1,6 @@
 """Sampled hitting-time estimation: formulas, walks, and seed discipline."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from hitmin import (
     InvalidParameter,
     ShortcutSet,
     augmented_view,
+    candidate_endpoints,
     empirical_hitting,
     estimate_mean_hitting,
     expected_bounded_steps,
@@ -21,11 +21,10 @@ from hitmin import (
     greedy_plus,
     hitting_to_blue,
     sample_count,
-    shortcut_counts,
     spectral_radius,
     truncation_length,
 )
-from hitmin.estimator import _CHUNK, _integers, _walk_steps, _words
+from hitmin.estimator import _stage
 
 SQRT_HALF = 2.0**-0.5
 
@@ -161,7 +160,7 @@ def test_guarantee_mode_halves_epsilon(path5):
     tight = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, guarantee=True))
     assert tight.walk_length > loose.walk_length
     assert (tight.walk_length, tight.pilot_samples, tight.samples_per_node) == (19, 3056,
-                                                                                13778)
+                                                                                13615)
     assert tight.pilot_samples + tight.samples_per_node < sample_count(19, 0.1, 0.2, 5)
 
 
@@ -228,13 +227,13 @@ def test_empirical_hitting_agrees_with_solver(path5):
 
 
 def test_empirical_hitting_stream_is_pinned(path5):
-    # recorded from _reference_walk_steps walking path5's red nodes one at a
-    # time (20000 walks fill more than half a chunk) on one generator keyed
-    # (2, 0), with each std from the exact integer sums
+    # recorded from the count kernel walking path5's red nodes in one call
+    # on one generator keyed (2, 0), with each std from the exact integer
+    # sums
     means, stds = empirical_hitting(path5, trials=20000, seed=2)
-    assert means.tolist() == [4.008, 2.9996, 3.0126, 4.0319]
+    assert means.tolist() == [4.0025, 3.0145, 2.9907, 4.0025]
     assert stds.tolist() == [
-        2.786453698917463, 2.8555222885449556, 2.827833282223972, 2.8632136297549438]
+        2.82789561329268, 2.8416181111603445, 2.801232917001506, 2.855065904679961]
 
 
 def test_empirical_hitting_keeps_unsorted_repeated_starts_aligned(path5):
@@ -257,11 +256,11 @@ def test_empirical_hitting_enforces_step_budget(path5):
 
 
 def test_zero_step_limit_draws_nothing(path5, monkeypatch):
-    # no step is taken, so no walk is absorbed and no word is drawn
+    # no step is taken, so no walk is absorbed and nothing is drawn
     graph = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
     for start in (0, 1, 2):
         rng, fresh = np.random.default_rng(start), np.random.default_rng(start)
-        assert _walk_steps(augmented_view(graph), [start], 10, 0, rng) == ([0], [0], [10])
+        assert _stage(augmented_view(graph), [start], 10, 0, rng) == ([0], [0], [10])
         assert rng.bit_generator.state == fresh.bit_generator.state
     made = []
     default_rng = np.random.default_rng
@@ -287,336 +286,113 @@ def test_empirical_hitting_needs_two_trials(path5):
     assert means[0] >= 1 and np.isfinite(stds[0])
 
 
-def _reference_walk_steps(instance, shortcuts, starts, trials, limit, rng):
-    # the kernel that kept every walk's position and step count, on the
-    # base CSR: a node draws among its base degree plus its shortcut count,
-    # and a draw past its base row takes a shortcut, which absorbs the walk.
-    # Every start's walks sit in one array, start after start, and each
-    # step draws over the live ones.  Returns the steps, one row per start,
-    # and each start's count of walks still red
-    indptr, indices, is_red = instance.indptr, instance.indices, instance.is_red
-    base = instance.degrees
-    degrees = base + shortcut_counts(instance, shortcuts)
-    pos = np.repeat(np.asarray(starts, dtype=np.int64), trials)
-    steps = np.full(pos.size, limit, dtype=np.int64)
-    alive = np.arange(pos.size)
-    for step in range(1, limit + 1):
-        cur = pos[alive]
-        drawn = rng.integers(0, degrees[cur])
-        shortcut = drawn >= base[cur]
-        nxt = indices[np.where(shortcut, 0, indptr[cur] + drawn)]
-        hit = shortcut | ~is_red[nxt]
-        if hit.any():
-            steps[alive[hit]] = step
-            keep = ~hit
-            alive = alive[keep]
-            pos[alive] = nxt[keep]
-        else:
-            pos[alive] = nxt
-        if alive.size == 0:
-            break
-    return steps.reshape(len(starts), trials), np.bincount(alive // trials,
-                                                           minlength=len(starts))
+def _survival(instance, shortcuts, length):
+    # P(T >= s) for s = 1..length, one row per s, one column per red node:
+    # the increments of the bounded-step expectation
+    steps = [expected_bounded_steps(instance, shortcuts, s) for s in range(length + 1)]
+    return np.diff(steps, axis=0)
 
 
-def _kernel_and_reference(graph, starts, trials, limit, rng, ref_rng):
-    # graph is an instance, or an (instance, shortcuts) pair; returns the
-    # kernel's (total, total_sq, still_red) and the reference's, one entry
-    # per start each
-    instance, shortcuts = graph if isinstance(graph, tuple) else (graph, None)
-    steps, still_red = _reference_walk_steps(instance, shortcuts, starts, trials, limit,
-                                             ref_rng)
-    return (_walk_steps(augmented_view(instance, shortcuts), starts, trials, limit, rng),
-            (steps.sum(axis=1).tolist(), (steps * steps).sum(axis=1).tolist(),
-             still_red.tolist()))
+_KERNEL_GRAPHS = {
+    "path5": gen_path(5, [2]),
+    "planted4": gen_planted_two_community(4, 4, 0.6, 0.3, 4),
+    "planted30": gen_planted_two_community(30, 30, 0.2, 0.05, 1),
+    "lollipop": gen_lollipop(20, 10),
+}
 
 
-@pytest.mark.parametrize("graph, start, limit, survivors", [
-    (gen_path(5, [2]), 0, 200, False),
-    (gen_path(5, [2]), 1, 200, False),
-    # a long path through a clique: many steps per walk
-    (gen_lollipop(5, 3), 7, 5000, False),
-    # graph 4's node 3 has one neighbour, blue; node 1 has one, red
-    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 3, 50, False),
-    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 1, 500, False),
-    # limits that leave walks unabsorbed
-    (gen_path(5, [2]), 0, 3, True),
-    (gen_lollipop(5, 3), 7, 6, True),
-    # a limit whose squares overflow int64: the sums are kept as Python ints
-    (gen_path(5, [2]), 0, 2**40, False),
-])
-def test_walk_kernel_matches_reference(graph, start, limit, survivors):
-    trials = 3000
-    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((6, start)))
-                    for _ in range(2))
-    kernel, reference = _kernel_and_reference(graph, [start], trials, limit, rng, ref_rng)
-    assert kernel == reference
-    assert (kernel[2][0] > 0) == survivors
-    # the same draws were consumed; a degree-1 node draws nothing in either
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+def test_walk_counts_have_the_chain_law():
+    # each start's mean of X = min(T, ell) against E X from the exact
+    # survival probabilities, and its mean of X**2 against
+    # E X**2 = sum over s <= ell of (2s - 1) P(T >= s), as z-scores; the
+    # variances come from the same sums with s**2 - (s - 1)**2 and
+    # s**4 - (s - 1)**4.  A start whose X is constant must match exactly
+    trials, zs = 20000, []
+    for index, (name, graph) in enumerate(_KERNEL_GRAPHS.items()):
+        for shortcuts in (None, (candidate_endpoints(graph)[-1],)):
+            view = augmented_view(graph, shortcuts)
+            for ell in (1, 3, 8, 25):
+                survive = _survival(graph, shortcuts, ell)
+                s = np.arange(1, ell + 1)[:, None]
+                m1, m2, m4 = ((w * survive).sum(axis=0)
+                              for w in (1, 2 * s - 1, s**4 - (s - 1)**4))
+                rng = np.random.default_rng(np.random.SeedSequence((index, ell)))
+                total, total_sq, _ = _stage(view, graph.red_ids, trials, ell, rng)
+                for sums, mean, var in ((total, m1, m2 - m1**2), (total_sq, m2, m4 - m2**2)):
+                    got = np.array(sums) / trials
+                    constant = var <= 1e-12 * mean**2
+                    assert got[constant].tolist() == mean[constant].tolist(), (name, ell)
+                    zs += ((got - mean)[~constant] / np.sqrt(var[~constant] / trials)).tolist()
+    zs = np.array(zs)
+    assert zs.size > 400
+    assert np.abs(zs).max() <= 4.5
+    assert abs(zs.mean()) <= 0.2 and 0.8 <= zs.std() <= 1.25
 
 
-# planted 4/4 graph 4: red 3's one neighbour is blue, red 1's is red 2
-PLANTED4 = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
+@pytest.mark.parametrize("name", list(_KERNEL_GRAPHS))
+def test_one_step_walks_count_exactly_one(name):
+    # every walk takes step 1 and none is moved, so nothing is drawn
+    graph = _KERNEL_GRAPHS[name]
+    rng, fresh = np.random.default_rng(3), np.random.default_rng(3)
+    starts = graph.red_ids
+    trials = 10**12
+    assert _stage(augmented_view(graph), starts, trials, 1, rng) == ([trials] * starts.size,) * 3
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
-@pytest.mark.parametrize("graph, starts, trials, limit", [
-    # the leading segment, red 3's, and a later one empty after step 1
-    pytest.param(PLANTED4, [3, 0, 3, 2], 3000, 40, id="empty-segments"),
-    # red 1's degree-1 row draws nothing; its walks share chunks with others
-    pytest.param(PLANTED4, [0, 1, 2], 3000, 40, id="degree-1-row"),
-    # more walks than a chunk: segments span chunks as they compact
-    pytest.param(PLANTED4, [0, 1, 2, 3], _CHUNK // 2 + 9, 40, id="over-a-chunk"),
-    pytest.param(PLANTED4, [0, 1, 2, 3], _CHUNK // 2 + 9, 3, id="over-a-chunk-cut"),
-    pytest.param((PLANTED4, (0, 2, 2)), [0, 1, 2], _CHUNK // 2 + 9, 40,
-                 id="over-a-chunk-shortcuts"),
-    pytest.param(PLANTED4, [0, 1, 2, 3], 10, 0, id="limit-0"),
-])
-def test_walk_kernel_matches_reference_over_several_starts(graph, starts, trials, limit):
-    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((8, len(starts), limit)))
-                    for _ in range(2))
-    kernel, reference = _kernel_and_reference(graph, starts, trials, limit, rng, ref_rng)
-    assert kernel == reference
-    if limit == 0:
-        assert kernel == ([0] * len(starts), [0] * len(starts), [trials] * len(starts))
-    if starts[0] == 3:
-        # every walk from red 3 ends at step 1
-        assert kernel[0][0] == kernel[1][0] == trials and kernel[2][0] == 0
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-# 2**31 + 1 and 3 * 2**30 + 7 reject about a half and a quarter of their draws
-BOUNDS = (1, 2, 7, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 1)
-
-
-def _draw_integers(rng, high):
-    # one word source per call, screened by the largest bound, and the
-    # bound-1 scatter only where a bound is 1
-    high = high.astype(np.uint64)
-    with _words(rng) as draw:
-        return _integers(draw, high, high.max(initial=0), bool((high == 1).any()))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_integers_replicates_numpy(seed):
-    rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-    mix = np.random.default_rng(100 + seed)
-    sizes = [0, 1, 5, 600, 0, 2000] + [int(n) for n in mix.integers(0, 300, 6)]
-    # several calls in a row, each ending on the same state
-    for size in sizes:
-        high = mix.choice(BOUNDS, size)
-        drawn = _draw_integers(rng, high)
-        expected = ref_rng.integers(0, high)
-        assert drawn.dtype == expected.dtype
-        assert np.array_equal(drawn, expected)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-    for bound in BOUNDS:
-        high = np.full(500, bound)
-        assert np.array_equal(_draw_integers(rng, high), ref_rng.integers(0, high))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def _drawing(words):
-    # MT19937 returns its state words through an invertible tempering, so
-    # a state can be set that draws the given 32-bit words next
-    def untemper(y):
-        for shift, mask in ((18, None), (-15, 0xEFC60000), (-7, 0x9D2C5680), (11, None)):
-            x = y
-            for _ in range(5):
-                x = y ^ (x >> shift if mask is None else (x << -shift) & mask & 0xFFFFFFFF)
-            y = x
-        return y
-    key = np.full(624, 12345, dtype=np.uint32)
-    key[:len(words)] = [untemper(w) for w in words]
-    bit_generator = np.random.MT19937(0)
-    bit_generator.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
-    return np.random.Generator(bit_generator)
-
-
-def test_integers_rejects_strictly_below_the_threshold():
-    # for the bound 2**31 + 1 the threshold (2**32 - h) % h is 2**31 - 1;
-    # the first word makes a low word equal to it, the second one below it
-    h = 2**31 + 1
-    words = [2**32 - 1, 2**31 - 2, 2**32 - 5, 3, 2**31 + 8]
-    assert [w * h % 2**32 for w in words[:2]] == [2**31 - 1, 2**31 - 2]
-    assert _drawing(words).integers(0, 2**32, 5, dtype=np.uint64).tolist() == words
-    rng, ref_rng = _drawing(words), _drawing(words)
-    high = np.full(3, h)
-    assert np.array_equal(_draw_integers(rng, high), ref_rng.integers(0, high))
-    assert rng.bit_generator.state["state"]["pos"] == ref_rng.bit_generator.state["state"]["pos"]
-
-
-# red 0 has the slots 1, 2 (red) and 3 (blue), red 1 has 0, 3 and 4, and
-# red 2 has one slot, 0: bounds 3, 3 and 1.  For the bound 3 the threshold
-# (2**32 - 3) % 3 is 1, so the word 0 is rejected
-BOUND_THREE = BipartiteInstance(5, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)],
-                                [True, True, True, False, False])
-
-
-@pytest.mark.parametrize("words, trials, bounds, drawn", [
-    # the first step, from red 0: walk 2's word 0 is rejected, and it takes
-    # the next word, 2**32 - 1, to the blue node 3
-    ([2**31, 0, 2**32 - 1], 3, [3, 3], [1, 2]),
-    # four walks from red 0 step to red 2, red 1, red 2 and red 1; in the
-    # second step the degree-1 rows draw nothing, walk 2's word 0 is
-    # rejected, and walks 2 and 4 take the next two words, to the blue
-    # nodes 4 and 3
-    ([2**31, 1, 2**31, 1, 0, 2**32 - 1, 2**31], 4, [3, 3, 3, 3, 1, 3, 1, 3],
-     [1, 0, 1, 0, 0, 2, 0, 1]),
-])
-def test_walk_kernel_matches_reference_through_a_rejection(words, trials, bounds, drawn):
-    # the draws numpy makes for the bounds the walks meet, in stream order
-    assert _drawing(words).integers(0, np.array(bounds)).tolist() == drawn
-    rng, ref_rng = _drawing(words), _drawing(words)
-    kernel, reference = _kernel_and_reference(BOUND_THREE, [0], trials, 40, rng, ref_rng)
-    assert kernel == reference
-    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
-
-
-def test_walk_kernel_rejects_a_degree_of_two_to_the_32():
-    # numpy draws a bound of 2**32 as a raw word, outside the replica; the
-    # table builder refuses it before it sizes an array by the degrees
-    graph = SimpleNamespace(n=1, indptr=np.array([0, 2**32]), indices=np.zeros(0, np.int64),
-                            is_red=np.array([True]), red_ids=np.array([0]),
-                            degrees=np.array([2**32]), capacity=np.array([0]))
-    with pytest.raises(AssertionError):
-        augmented_view(graph)
-
-
-@pytest.mark.parametrize("graph, start, limit", [
-    # graph 4's node 1 has one neighbour, red: its walks draw nothing there
-    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 1, 40),
-    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 2, 40),
-    # most walks survive three steps: survivors compact across chunks
-    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 1, 3),
-    # shortcut slots at nodes 0 and 2; node 1 keeps its one neighbour
-    ((gen_planted_two_community(4, 4, 0.6, 0.3, 4), (0, 2, 2)), 1, 40),
-    ((gen_planted_two_community(4, 4, 0.6, 0.3, 4), (0, 2, 2)), 0, 5),
-])
-def test_walk_kernel_matches_reference_across_chunks(graph, start, limit):
-    trials = 2 * _CHUNK + 17
-    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((7, start, limit)))
-                    for _ in range(2))
-    kernel, reference = _kernel_and_reference(graph, [start], trials, limit, rng, ref_rng)
-    assert kernel == reference
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def _pcg64_holding_a_half_word(seed):
-    # an odd-size draw leaves the high half of its last raw draw pending
-    rng = np.random.default_rng(seed)
-    rng.integers(0, 2**32, size=3, dtype=np.uint64)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    return rng
-
-
-def _mt19937(seed):
-    # not PCG64: the kernel draws its words through rng.integers
-    return np.random.Generator(np.random.MT19937(seed))
-
-
-@pytest.mark.parametrize("make_rng", [_pcg64_holding_a_half_word, _mt19937])
-@pytest.mark.parametrize("graph, start, limit, trials", [
-    # node 1 has one neighbour, red: bounds of 1 among the draws
-    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 2, 40, 2 * _CHUNK + 17),
-    (gen_lollipop(5, 3), 7, 5000, 3000),
-    # red rows that end in blue shortcut slots, one of them two deep
-    ((gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)), 1, 60,
-     2 * _CHUNK + 17),
-    ((gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)), 5, 3, 3000),
-])
-def test_walk_kernel_matches_reference_from_any_generator(make_rng, graph, start, limit,
-                                                          trials):
-    rng, ref_rng = make_rng(start), make_rng(start)
-    kernel, reference = _kernel_and_reference(graph, [start], trials, limit, rng, ref_rng)
-    assert kernel == reference
-    # MT19937's state holds its key as an array
-    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
-
-
-def test_words_replicate_numpy():
-    # successive calls of odd and even sizes, 0 included, so that calls
-    # enter with and without a pending half word and leave either way
-    rng, ref_rng = (np.random.default_rng(12) for _ in range(2))
-    pending = set()
-    sizes = (0, 1, 1, 2, 5, 0, 4, 7, 1, 0, 600, 33, 2, 2, 0)
-    for size in sizes:
-        pending.add(rng.bit_generator.state["has_uint32"])
-        with _words(rng) as draw:
-            words = draw(size)
-        expected = ref_rng.integers(0, 2**32, size=size, dtype=np.uint64)
-        assert words.tolist() == expected.tolist()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert pending == {0, 1}
-    # one source for all of them carries the pending word from draw to draw
-    # and leaves the state once, on exit
-    for entry in (0, 1):
-        if rng.bit_generator.state["has_uint32"] != entry:
-            # one word takes or leaves a pending half word
-            for r in (rng, ref_rng):
-                r.integers(0, 2**32, dtype=np.uint64)
-        assert rng.bit_generator.state["has_uint32"] == entry
-        with _words(rng) as draw:
-            for size in sizes:
-                words = draw(size)
-                expected = ref_rng.integers(0, 2**32, size=size, dtype=np.uint64)
-                assert words.tolist() == expected.tolist()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_walk_kernel_peak_memory():
-    view = augmented_view(gen_planted_two_community(4, 4, 0.6, 0.3, 4))
-    trials = 200_000
-    rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        _walk_steps(view, [2], trials, 30, rng)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # numpy registers its data buffers with tracemalloc, so the peak is
-    # deterministic: the positions, one int64 array of length trials, and
-    # a few chunk-sized temporaries (1.58 arrays of length trials here, 1
-    # plus 3.6 chunks); nine arrays for a kernel that keeps every walk's
-    # position and step count
-    assert peak <= 8 * trials + 4 * 8 * _CHUNK
+def test_a_node_with_only_blue_neighbours_counts_exactly_one():
+    # planted 4/4 graph 4: red 3's one neighbour is blue; complete
+    # bipartite red nodes have no red neighbour, with or without shortcuts
+    planted = _KERNEL_GRAPHS["planted4"]
+    assert not planted.is_red[planted.neighbors(3)].any()
+    for graph, shortcuts, start in ((planted, None, 3), (planted, (3,), 3),
+                                    (complete_bipartite(3, 3), None, 1)):
+        rng = np.random.default_rng(4)
+        totals = _stage(augmented_view(graph, shortcuts), [start, start], 5000, 25, rng)
+        assert totals == ([5000, 5000], [5000, 5000], [0, 0])
 
 
 def test_estimate_peak_memory():
-    # samples_per_node >= _CHUNK: each kernel call walks one start node, so
-    # a four-start estimate holds no more than one start's walks, within
-    # the bound of test_walk_kernel_peak_memory plus the walk table
-    graph = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
-    view = augmented_view(graph)
-    table = view.bound.nbytes + view.target.nbytes + view.first.nbytes
-    trials = 200_000
-    config = EstimatorConfig(seed=0, walk_length=30, spectral_bound=0.5,
-                             samples_per_node=trials, subsample_fraction=1.0)
-    tracemalloc.start()
-    try:
-        est = estimate_mean_hitting(graph, config=config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert est.sampled_nodes.size == 4 and est.samples_per_node == trials
-    assert peak <= 8 * trials + 4 * 8 * _CHUNK + table
+    # the walks are counts, so one traced-peak bound holds at 10**3 and at
+    # 10**9 walks per node (both read about 14 KB); at 10**9 the walk
+    # length makes the sums Python ints, and their total is still exact
+    graph = _KERNEL_GRAPHS["planted4"]
+    peaks = []
+    for trials in (10**3, 10**9):
+        config = EstimatorConfig(seed=0, walk_length=2**17, spectral_bound=0.5,
+                                 samples_per_node=trials, subsample_fraction=1.0)
+        tracemalloc.start()
+        try:
+            est = estimate_mean_hitting(graph, config=config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+        assert est.sampled_nodes.size == 4 and est.samples_per_node == trials
+        assert isinstance(est.walk_steps, int) and est.walk_steps >= 4 * trials
+    assert max(peaks) <= 32 * 1024
+    # every walk from path5's red 0 steps to red 1 and takes step 2: sums
+    # of 2**63 and 2**64 past int64, from one split with nothing to draw
+    trials = 2**62
+    assert _stage(augmented_view(_KERNEL_GRAPHS["path5"]), [0], trials, 2,
+                  np.random.default_rng(0)) == ([2 * trials], [4 * trials], [trials])
 
 
 def test_estimator_stream_is_pinned(path5):
     # a pilot, then fewer walks than Hoeffding's count, which give the means
     est = estimate_mean_hitting(
         path5, config=EstimatorConfig(epsilon=0.2, delta=0.2, seed=11, guarantee=True))
-    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (11, 1770, 9871)
-    assert (est.walk_steps, est.pilot_steps) == (135077, 24168)
+    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (11, 1770, 10304)
+    assert (est.walk_steps, est.pilot_steps) == (141443, 24382)
     assert est.per_node_means.tolist() == [
-        3.9051767804680377, 2.9288825853510283, 2.9495491844797894, 3.9006179718366933]
+        3.8977096273291925, 2.9902950310559007, 2.953804347826087, 3.885190217391304]
     planted = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
     est = estimate_mean_hitting(
         planted, config=EstimatorConfig(epsilon=0.3, delta=0.2, seed=5, guarantee=True))
-    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (29, 3110, 24795)
-    assert (est.walk_steps, est.pilot_steps) == (563337, 70446)
+    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (29, 3110, 24565)
+    assert (est.walk_steps, est.pilot_steps) == (556330, 70677)
     assert est.per_node_means.tolist() == [
-        4.993547086106069, 8.856745311554748, 7.869489816495261, 1.0]
+        4.969794422959495, 8.854834113576226, 7.822633828617953, 1.0]
 
 
 def test_greedy_plus_stream_is_pinned():
@@ -625,13 +401,13 @@ def test_greedy_plus_stream_is_pinned():
     selection, trace = greedy_plus(graph, 1, epsilon=0.25, estimator_config=cfg,
                                    cap_at_k=False)
     assert selection.endpoints == (0, 0, 0, 1, 1, 1, 2, 2, 2, 3)
-    assert trace.endpoints == [2, 0, 1, 0, 2, 3, 2, 1, 1, 0]
+    assert trace.endpoints == [2, 0, 1, 2, 3, 2, 0, 0, 1, 1]
     assert trace.values == [
-        2.0845444877702946, 1.9476212259835315, 1.8493698497333981,
-        1.7428293631502187, 1.647467036780014, 1.6051962209302326,
-        1.5784862043251306, 1.5426241660489253, 1.4959499263622975,
-        1.4807984790874524]
-    assert trace.evaluations == 32
+        2.1139910813823857, 1.9313817330210772, 1.8333333333333333,
+        1.7321334734629532, 1.6708196721311477, 1.6051336146272857,
+        1.5802669552669553, 1.529788838612368, 1.4976599063962557,
+        1.4719703215169002]
+    assert trace.evaluations == 29
 
 
 @pytest.mark.parametrize("config", [
@@ -657,9 +433,9 @@ def test_guarantee_mode_without_a_paying_pilot_takes_one_stage():
     est = estimate_mean_hitting(planted, config=EstimatorConfig(
         epsilon=0.9, delta=0.5, seed=3, guarantee=True))
     assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (5, 0, 172)
-    assert (est.walk_steps, est.pilot_steps) == (1597, 0)
+    assert (est.walk_steps, est.pilot_steps) == (1506, 0)
     assert est.per_node_means.tolist() == [
-        2.38953488372093, 2.052325581395349, 2.7325581395348837, 2.11046511627907]
+        2.2790697674418605, 1.930232558139535, 2.4127906976744184, 2.133720930232558]
 
 
 @pytest.mark.parametrize("graph, epsilon", [

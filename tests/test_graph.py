@@ -18,6 +18,7 @@ from hitmin import (
     augmented_view,
     candidate_endpoints,
     estimate_mean_hitting,
+    gen_lollipop,
     gen_path,
     gen_planted_two_community,
     hitting_to_blue,
@@ -132,38 +133,68 @@ def _two_blue_instance():
     return BipartiteInstance(6, edges, [True, True, True, False, False, False])
 
 
-def _loop_table(inst, shortcuts):
-    # the walk table row by row: each red row's neighbours as their row
-    # starts, -1 for a blue one, then one -1 per shortcut
+def _loop_rows(inst, shortcuts):
+    # each red node's table row, from a loop over its neighbours:
+    # absorption with probability (d - r)/d, zero padding, then each red
+    # neighbour with probability 1/d, in r + 1 rounded up to a power of two
+    # and at least 8 categories; targets name nodes, -1 where a category
+    # absorbs or pads.  A node with no red neighbour has no row
     counts = ShortcutSet(shortcuts).counts()
-    degree = {r: int(inst.degrees[r]) + counts[r] for r in inst.red_ids.tolist()}
-    first, at = {}, 0
-    for r, d in degree.items():
-        first[r], at = at, at + d
-    bound, target = [], []
-    for r, d in degree.items():
-        bound += [d] * d
-        target += [first.get(int(w), -1) for w in inst.neighbors(r)] + [-1] * counts[r]
-    return bound, target, list(first.values()), list(degree.values())
+    rows = {}
+    for v in inst.red_ids.tolist():
+        d = int(inst.degrees[v]) + counts[v]
+        red = [int(w) for w in inst.neighbors(v) if inst.is_red[w]]
+        if not red:
+            continue
+        width = 8
+        while width < len(red) + 1:
+            width *= 2
+        pad = width - len(red) - 1
+        rows[v] = ([(d - len(red)) / d] + [0.0] * pad + [1 / d] * len(red),
+                   [-1] * (pad + 1) + red)
+    return rows
+
+
+def _view_rows(view):
+    # the same rows read back from the buckets, targets as node ids
+    node_of = np.empty(view.row.size, dtype=np.int64)
+    node_of[view.row] = view.red_ids
+    rows = {}
+    for lo, pvals, targets in view.buckets:
+        for i in range(len(pvals)):
+            rows[int(node_of[lo + i])] = (
+                pvals[i].tolist(),
+                [int(node_of[t]) if t >= 0 else -1 for t in targets[i]])
+    return rows
 
 
 @pytest.mark.parametrize("make, shortcuts", [
     (lambda: gen_path(5, [2]), (0,)),
     (_two_blue_instance, (1, 0, 0)),
-    # node 1 has degree 1, so some bound is 1
+    # node 3's one neighbour is blue, node 1's is red
     (lambda: gen_planted_two_community(4, 4, 0.6, 0.3, 4), (0, 2, 2)),
-], ids=["path5", "two_blue", "planted4"])
+    # red degrees of 9 and 10: a second bucket, 16 wide
+    (lambda: gen_lollipop(20, 10), (29,)),
+], ids=["path5", "two_blue", "planted4", "lollipop"])
 def test_augmented_view_matches_a_loop_over_neighbors(make, shortcuts):
     inst = make()
     view = augmented_view(inst, ShortcutSet(shortcuts))
     assert isinstance(view, AugmentedView)
-    bound, target, first, degrees = _loop_table(inst, shortcuts)
-    assert view.bound.dtype == np.uint64 and view.bound.tolist() == bound
-    assert view.target.dtype == np.int64 and view.target.tolist() == target
-    assert view.first.dtype == np.int64 and view.first.tolist() == first
+    assert _view_rows(view) == _loop_rows(inst, shortcuts)
     np.testing.assert_array_equal(view.red_ids, inst.red_ids)
-    assert view.largest == max(degrees)
-    assert view.ones == (1 in degrees)
+    assert view.slots == int(inst.degrees[inst.red_ids].sum()) + len(shortcuts)
+    # buckets of ascending width tile the table rows after those of the
+    # nodes with no red neighbour, each width's rows in red_ids order
+    width = {v: len(p) for v, (p, _) in _loop_rows(inst, shortcuts).items()}
+    widths, lo = [], inst.red_count - len(width)
+    for start, pvals, targets in view.buckets:
+        assert start == lo and pvals.shape == targets.shape
+        assert pvals.dtype == np.float64 and targets.dtype == np.int64
+        widths.append(pvals.shape[1])
+        lo += len(pvals)
+    assert lo == inst.red_count and widths == sorted(set(widths))
+    assert view.red_ids[np.argsort(view.row)].tolist() == sorted(
+        inst.red_ids.tolist(), key=lambda v: (width.get(v, 0), v))
 
 
 def test_augmented_view_leaves_the_base_untouched():
@@ -174,10 +205,24 @@ def test_augmented_view_leaves_the_base_untouched():
     np.testing.assert_array_equal(base.indices, indices)
     assert list(base.degrees) == [2] * 6
     assert base.edge_count == 6
-    for arr in (base.indptr, base.indices, base.degrees,
-                view.bound, view.target, view.first):
+    tables = [arr for _, pvals, targets in view.buckets for arr in (pvals, targets)]
+    for arr in (base.indptr, base.indices, base.degrees, view.row, *tables):
         assert not arr.flags.writeable
     assert np.shares_memory(base.neighbors(3), base.indices)
+
+
+def test_augmented_view_is_linear_in_the_red_slots():
+    # a red star: the centre has 2000 red leaves and one blue neighbour.
+    # Padding every row to the largest degree would take 2001 x 2048
+    # numbers per array; the centre's row takes 2048 and each leaf's 8
+    leaves = 2000
+    edges = [(0, v) for v in range(1, leaves + 2)]
+    star = BipartiteInstance(leaves + 2, edges, [True] * (leaves + 1) + [False])
+    view = augmented_view(star)
+    assert view.slots == 2 * leaves + 1
+    cells = sum(pvals.size for _, pvals, _ in view.buckets)
+    assert cells == 2048 + 8 * leaves
+    assert cells <= 2 * view.slots + 8 * star.red_count
 
 
 def test_block_entries_match_a_loop_over_rows():
