@@ -21,6 +21,7 @@ from hitmin import (
     greedy_plus,
     hitting_to_blue,
     sample_count,
+    shortcut_counts,
     spectral_radius,
     truncation_length,
 )
@@ -284,6 +285,197 @@ def test_empirical_hitting_needs_two_trials(path5):
             empirical_hitting(path5, [0], trials=trials)
     means, stds = empirical_hitting(path5, [1], trials=2)
     assert means[0] >= 1 and np.isfinite(stds[0])
+
+
+def _reference_walk_steps(instance, shortcuts, starts, trials, limit, rng):
+    # the count process one (start, node) pair at a time, from the base CSR.
+    # Red node v of degree d, its base degree plus its shortcuts, with r red
+    # neighbours splits its count by one rng.multinomial over
+    # max(8, 2**bit_length(r)) categories: the absorbed one at (d - r)/d,
+    # zero padding, then its red neighbours in CSR order at 1/d each.  A
+    # node with no red neighbour absorbs every walk and draws nothing.  The
+    # pairs split in the table's order: by row width, then by node, then by
+    # place in starts.  A walk counts the step that absorbs it, or limit;
+    # returns each start's sum of step counts, sum of their squares and
+    # number of walks that take step limit
+    is_red = instance.is_red
+    degrees = (instance.degrees + shortcut_counts(instance, shortcuts)).tolist()
+    rows = {}
+    for v in instance.red_ids.tolist():
+        red = [int(u) for u in instance.neighbors(v) if is_red[u]]
+        d, r = degrees[v], len(red)
+        width = max(8, 1 << r.bit_length()) if r else 0
+        rows[v] = (width, [(d - r) / d] + [0.0] * (width - 1 - r) + [1.0 / d] * r, red)
+    m = len(starts)
+    total, total_sq, live = [0] * m, [0] * m, [trials] * m
+    at = {(int(v), i): trials for i, v in enumerate(starts)}
+    for step in range(1, limit + 1):
+        live = [0] * m
+        for (v, i), count in at.items():
+            live[i] += count
+        if step == limit:
+            for i in range(m):
+                total[i] += step * live[i]
+                total_sq[i] += step * step * live[i]
+            break
+        moved = {}
+        for v, i in sorted(at, key=lambda pair: (rows[pair[0]][0],) + pair):
+            width, pvals, red = rows[v]
+            absorbed = at[(v, i)]
+            if width:
+                split = rng.multinomial(absorbed, pvals).tolist()
+                assert not any(split[1:width - len(red)])
+                absorbed = split[0]
+                for u, count in zip(red, split[width - len(red):]):
+                    if count:
+                        moved[(u, i)] = moved.get((u, i), 0) + count
+            total[i] += step * absorbed
+            total_sq[i] += step * step * absorbed
+        at = moved
+        if not at:
+            live = [0] * m
+            break
+    return total, total_sq, live
+
+
+def _kernel_and_reference(graph, starts, trials, limit, rng, ref_rng):
+    # graph is an instance, or an (instance, shortcuts) pair; returns the
+    # kernel's (total, total_sq, live) and the reference's, one entry per
+    # start each
+    instance, shortcuts = graph if isinstance(graph, tuple) else (graph, None)
+    return (_stage(augmented_view(instance, shortcuts), starts, trials, limit, rng),
+            _reference_walk_steps(instance, shortcuts, starts, trials, limit, ref_rng))
+
+
+@pytest.mark.parametrize("graph, start, limit, survivors", [
+    (gen_path(5, [2]), 0, 200, False),
+    (gen_path(5, [2]), 1, 200, False),
+    # a long path through a clique: many steps per walk
+    (gen_lollipop(5, 3), 7, 5000, False),
+    # graph 4's node 3 has one neighbour, blue; node 1 has one, red
+    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 3, 50, False),
+    (gen_planted_two_community(4, 4, 0.6, 0.3, 4), 1, 500, False),
+    # limits that leave walks unabsorbed
+    (gen_path(5, [2]), 0, 3, True),
+    (gen_lollipop(5, 3), 7, 6, True),
+    # a limit whose squares overflow int64: the sums are kept as Python ints
+    (gen_path(5, [2]), 0, 2**40, False),
+])
+def test_walk_kernel_matches_reference(graph, start, limit, survivors):
+    trials = 3000
+    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((6, start)))
+                    for _ in range(2))
+    kernel, reference = _kernel_and_reference(graph, [start], trials, limit, rng, ref_rng)
+    assert kernel == reference
+    assert (kernel[2][0] > 0) == survivors
+    # the same draws were consumed; a row whose one red neighbour takes
+    # every walk draws nothing in either
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# planted 4/4 graph 4: red 3's one neighbour is blue, red 1's is red 2.
+# Planted 30/30 graph 1: reds 4, 10, 24 and 29 have 8 or more red
+# neighbours, so their rows form a second bucket of the count table, and
+# each step draws in one multinomial call per bucket
+PLANTED4 = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
+PLANTED30 = gen_planted_two_community(30, 30, 0.2, 0.05, 1)
+
+
+@pytest.mark.parametrize("graph, starts, trials, limit", [
+    # red 3's row is in no bucket: its pairs, the leading and a later
+    # segment of the starts, are empty after step 1
+    pytest.param(PLANTED4, [3, 0, 3, 2], 3000, 40, id="empty-segments"),
+    # red 1's row has one nonzero category, its last, and draws nothing
+    pytest.param(PLANTED4, [0, 1, 2], 3000, 40, id="degree-1-row"),
+    # starts on rows of both buckets: each step's pairs span both calls
+    pytest.param(PLANTED30, [4, 0, 29, 1], 16393, 40, id="over-a-chunk"),
+    pytest.param(PLANTED30, [4, 0, 29, 1], 16393, 3, id="over-a-chunk-cut"),
+    pytest.param((PLANTED30, (0, 4, 4)), [0, 4, 2], 16393, 40,
+                 id="over-a-chunk-shortcuts"),
+    pytest.param(PLANTED4, [0, 1, 2, 3], 10, 0, id="limit-0"),
+])
+def test_walk_kernel_matches_reference_over_several_starts(graph, starts, trials, limit):
+    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((8, len(starts), limit)))
+                    for _ in range(2))
+    kernel, reference = _kernel_and_reference(graph, starts, trials, limit, rng, ref_rng)
+    assert kernel == reference
+    if limit == 0:
+        assert kernel == ([0] * len(starts), [0] * len(starts), [trials] * len(starts))
+    if starts[0] == 3:
+        # every walk from red 3 ends at step 1
+        assert kernel[0][0] == kernel[1][0] == trials and kernel[2][0] == 0
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("graph, start, limit", [
+    # walks from a narrow row reach the wide ones and come back
+    (PLANTED30, 1, 40),
+    (PLANTED30, 2, 40),
+    # most walks survive three steps
+    (PLANTED30, 1, 3),
+    # shortcut slots at a narrow and a wide row, one of them two deep
+    ((PLANTED30, (0, 4, 4)), 1, 40),
+    ((PLANTED30, (0, 4, 4)), 0, 5),
+])
+def test_walk_kernel_matches_reference_across_chunks(graph, start, limit):
+    # the count table's buckets are the chunks a step draws in
+    view = augmented_view(*graph) if isinstance(graph, tuple) else augmented_view(graph)
+    assert len(view.buckets) == 2
+    trials = 65553
+    rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((7, start, limit)))
+                    for _ in range(2))
+    kernel, reference = _kernel_and_reference(graph, [start], trials, limit, rng, ref_rng)
+    assert kernel == reference
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _pcg64_holding_a_half_word(seed):
+    # an odd-size draw leaves the high half of its last raw draw pending
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 2**32, size=3, dtype=np.uint64)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _mt19937(seed):
+    # not PCG64: a 32-bit generator, whose doubles take two words each
+    return np.random.Generator(np.random.MT19937(seed))
+
+
+@pytest.mark.parametrize("make_rng", [_pcg64_holding_a_half_word, _mt19937])
+@pytest.mark.parametrize("graph, start, limit, trials", [
+    # node 1 has one neighbour, red: a row that draws nothing
+    (PLANTED4, 2, 40, 65553),
+    (gen_lollipop(5, 3), 7, 5000, 3000),
+    # red rows with absorbed shares from shortcut slots, one two deep
+    ((gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)), 1, 60, 65553),
+    ((gen_planted_two_community(6, 6, 0.5, 0.2, 1), (0, 1, 1, 4)), 5, 3, 3000),
+])
+def test_walk_kernel_matches_reference_from_any_generator(make_rng, graph, start, limit,
+                                                          trials):
+    rng, ref_rng = make_rng(start), make_rng(start)
+    kernel, reference = _kernel_and_reference(graph, [start], trials, limit, rng, ref_rng)
+    assert kernel == reference
+    # MT19937's state holds its key as an array
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+def test_walk_kernel_peak_memory():
+    # the state is one count per occupied (start, node) pair, so the traced
+    # peak is the same few KB at 2 * 10**5 and at 10**12 walks; one int64
+    # per walk would take 1.6 MB at the smaller count
+    view = augmented_view(PLANTED4)
+    peaks = []
+    for trials in (200_000, 10**12):
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            _stage(view, [2], trials, 30, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert max(peaks) <= 16 * 1024
 
 
 def _survival(instance, shortcuts, length):
