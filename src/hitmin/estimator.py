@@ -24,10 +24,11 @@ one call.  It reads the red rows through one count table per estimate,
 ``graph.augmented_view``, built from the base CSR and the shortcut counts.
 It walks occupancy counts, how many of each start node's walks stand on each
 red node, and each step splits every count over the node's red neighbours
-and one absorbed category with one broadcast ``Generator.multinomial`` call
-per bucket of the table.  So a step costs what the occupied (start, node)
-pairs cost, whatever the number of walks, and each start's sum of step
-counts, and of their squares, come from its live counts as exact integers.
+and one absorbed category with broadcast ``Generator.multinomial`` calls,
+one or more per bucket of the table.  So a step costs what the occupied
+(start, node) pairs cost, whatever the number of walks, in memory bounded
+by those pairs, and each start's sum of step counts, and of their squares,
+come from its live counts as exact integers.
 An estimate draws all its walks from one generator, stage after stage.  The
 spectral radius reads the red block's entries from ``graph.block_entries``
 and the bounded-step expectation reads the block from ``exact._chain``,
@@ -61,6 +62,8 @@ _SPECTRAL_CAP = 1.0 - 1e-9
 # power iteration stops at this relative change of the radius, or after the cap
 _SPECTRAL_TOL = 1e-6
 _SPECTRAL_MAX_ITER = 10000
+# cells, one per (pair, category), that one split call's temporaries hold
+_CELLS = 1 << 15
 
 
 def truncation_length(mean_red_degree: float, epsilon: float, spectral_bound: float) -> int:
@@ -247,6 +250,20 @@ class Estimate:
         return self.walk_length == 1
 
 
+def _merged(keys, counts):
+    """The keys in the arrays ``keys``, each once and ascending, with the
+    sum of its entries in the matching arrays ``counts``; there must be at
+    least one key."""
+    key, count = np.concatenate(keys), np.concatenate(counts)
+    order = key.argsort()
+    key, count = key[order], count[order]
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = first.nonzero()[0]
+    return key[first], np.add.reduceat(count, first)
+
+
 def _stage(view, starts, trials, limit, rng):
     """``trials`` absorbing walks from each of ``starts``, cut at ``limit``
     steps, walked as occupancy counts.
@@ -262,13 +279,16 @@ def _stage(view, starts, trials, limit, rng):
     node) pair, keyed row·m + i for the node's row in the count table
     ``view`` (``graph.AugmentedView``) and start i of m, and sorted, so that
     the pairs on one bucket of the table are one slice.  Each step but the
-    last splits every count over its row's categories with one
-    ``rng.multinomial`` per occupied bucket, whose draws are those of one
+    last splits every count over its row's categories with broadcast
+    ``rng.multinomial`` calls, each over consecutive pairs of one bucket
+    and at most ``_CELLS`` cells, whose draws are those of one
     ``rng.multinomial`` per pair in key order; drops what is absorbed, and
-    what stood on a row with no bucket; and sums what lands on each pair.
-    So a step costs O(occupied pairs × row width), whatever ``trials`` is.
-    The sums are exact: int64 while they cannot overflow, Python ints
-    otherwise.  A ``limit`` of at most 1 draws nothing.
+    what stood on a row with no bucket; and sums what lands on each pair,
+    merging what it holds as it goes.  So a step costs O(occupied pairs ×
+    row width) time and O(occupied pairs + ``_CELLS``) memory, the pairs
+    of this step and the next, whatever ``trials`` is.  The sums are exact:
+    int64 while they cannot overflow, Python ints otherwise.  A ``limit``
+    of at most 1 draws nothing.
     """
     m = len(starts)
     exact = np.int64 if int(trials) * int(limit) ** 2 < 1 << 63 else object
@@ -283,33 +303,35 @@ def _stage(view, starts, trials, limit, rng):
         total_sq += (2 * step - 1) * live
         if step == limit:
             break
-        keys, counts = [], []
+        # what is held is merged whenever it passes twice the pairs it
+        # was last merged to, plus one call's cells, so that it stays
+        # O(occupied pairs + _CELLS)
+        keys, counts, held, bound = [], [], 0, 2 * count.size + _CELLS
         for lo, pvals, targets in view.buckets:
             a, b = rows.searchsorted((lo, lo + len(pvals)))
-            if a == b:
-                continue
-            at = rows[a:b] - lo
-            # category 0 absorbs; the padding's counts are 0
-            split = rng.multinomial(count[a:b], pvals.take(at, axis=0))[:, 1:]
-            into = targets.take(at, axis=0)[:, 1:] * m
-            into += start[a:b, None]
-            moved = split > 0
-            keys.append(into[moved])
-            counts.append(split[moved])
-        if not any(part.size for part in keys):
+            span = max(1, _CELLS // pvals.shape[1])
+            # numpy's broadcast multinomial draws pair after pair, so these
+            # calls make the draws of one call over [a, b)
+            for c in range(a, b, span):
+                e = min(c + span, b)
+                at = rows[c:e] - lo
+                # category 0 absorbs; the padding's counts are 0
+                split = rng.multinomial(count[c:e], pvals.take(at, axis=0))[:, 1:]
+                into = targets.take(at, axis=0)[:, 1:] * m
+                into += start[c:e, None]
+                moved = split > 0
+                keys.append(into[moved])
+                counts.append(split[moved])
+                held += keys[-1].size
+                if held > bound:
+                    keys, counts = ([part] for part in _merged(keys, counts))
+                    held = keys[0].size
+                    bound = 2 * held + _CELLS
+        if not held:
             live = np.zeros(m, dtype=exact)
             break
-        key, count = ((keys[0], counts[0]) if len(keys) == 1
-                      else (np.concatenate(keys), np.concatenate(counts)))
-        order = key.argsort()
-        key, count = key[order], count[order]
-        # one count per pair: the sum of what each row sent there
-        first = np.empty(key.size, dtype=bool)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        first = first.nonzero()[0]
-        rows, start = np.divmod(key[first], m)
-        count = np.add.reduceat(count, first)
+        key, count = _merged(keys, counts)
+        rows, start = np.divmod(key, m)
         live = np.zeros(m, dtype=np.int64)
         np.add.at(live, start, count)
         live = live.astype(exact, copy=False)

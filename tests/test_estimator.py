@@ -25,7 +25,7 @@ from hitmin import (
     spectral_radius,
     truncation_length,
 )
-from hitmin.estimator import _stage
+from hitmin.estimator import _CELLS, _stage
 
 SQRT_HALF = 2.0**-0.5
 
@@ -376,9 +376,25 @@ def test_walk_kernel_matches_reference(graph, start, limit, survivors):
 # planted 4/4 graph 4: red 3's one neighbour is blue, red 1's is red 2.
 # Planted 30/30 graph 1: reds 4, 10, 24 and 29 have 8 or more red
 # neighbours, so their rows form a second bucket of the count table, and
-# each step draws in one multinomial call per bucket
+# each step draws in one multinomial call per occupied bucket
 PLANTED4 = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
 PLANTED30 = gen_planted_two_community(30, 30, 0.2, 0.05, 1)
+
+
+def _red_star(leaves):
+    # red centre 0 with red leaves 1..leaves, and one blue node joined to
+    # all of them: the centre's row is 2**bit_length(leaves) wide, each
+    # leaf's 8 wide, and a leaf absorbs half its walks
+    blue = leaves + 1
+    edges = [(0, v) for v in range(1, blue + 1)] + [(v, blue) for v in range(1, blue)]
+    return BipartiteInstance(leaves + 2, edges, [True] * blue + [False])
+
+
+# the centre's 2048-wide row takes 16 pairs per split call, and a leaf row
+# 4096: 40 starts at the centre span three calls, and their 2000 walks each
+# spread over about 50,000 (leaf, start) pairs, thirteen calls; what the
+# centre's calls send outgrows 2 x 40 + 2**15 entries and is merged midway
+STAR = _red_star(2000)
 
 
 @pytest.mark.parametrize("graph, starts, trials, limit", [
@@ -387,12 +403,14 @@ PLANTED30 = gen_planted_two_community(30, 30, 0.2, 0.05, 1)
     pytest.param(PLANTED4, [3, 0, 3, 2], 3000, 40, id="empty-segments"),
     # red 1's row has one nonzero category, its last, and draws nothing
     pytest.param(PLANTED4, [0, 1, 2], 3000, 40, id="degree-1-row"),
-    # starts on rows of both buckets: each step's pairs span both calls
+    # starts on rows of both buckets: each step draws in both buckets' calls
     pytest.param(PLANTED30, [4, 0, 29, 1], 16393, 40, id="over-a-chunk"),
     pytest.param(PLANTED30, [4, 0, 29, 1], 16393, 3, id="over-a-chunk-cut"),
     pytest.param((PLANTED30, (0, 4, 4)), [0, 4, 2], 16393, 40,
                  id="over-a-chunk-shortcuts"),
     pytest.param(PLANTED4, [0, 1, 2, 3], 10, 0, id="limit-0"),
+    # one bucket's pairs split over several calls
+    pytest.param(STAR, [0] * 40, 2000, 4, id="over-split-calls"),
 ])
 def test_walk_kernel_matches_reference_over_several_starts(graph, starts, trials, limit):
     rng, ref_rng = (np.random.default_rng(np.random.SeedSequence((8, len(starts), limit)))
@@ -418,7 +436,8 @@ def test_walk_kernel_matches_reference_over_several_starts(graph, starts, trials
     ((PLANTED30, (0, 4, 4)), 0, 5),
 ])
 def test_walk_kernel_matches_reference_across_chunks(graph, start, limit):
-    # the count table's buckets are the chunks a step draws in
+    # walks that move between rows of two buckets, so each step draws in
+    # one multinomial call per occupied bucket
     view = augmented_view(*graph) if isinstance(graph, tuple) else augmented_view(graph)
     assert len(view.buckets) == 2
     trials = 65553
@@ -476,6 +495,25 @@ def test_walk_kernel_peak_memory():
             tracemalloc.stop()
         peaks.append(peak)
     assert max(peaks) <= 16 * 1024
+
+
+def test_walk_kernel_peak_memory_with_many_starts_on_a_wide_row():
+    # 1024 starts at the star's centre, 4 walks each: one split call over
+    # all 1024 pairs, 2048 columns wide, peaked at about 50 MB; calls of at
+    # most _CELLS cells peak at about 1.4 MB
+    view = augmented_view(STAR)
+    width = view.buckets[-1][1].shape[1]
+    starts = [0] * 1024
+    assert width == 2048 and len(starts) * width > 32 * _CELLS
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        total, _, _ = _stage(view, starts, 4, 3, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 1024 * 1024
+    assert len(total) == 1024 and min(total) >= 4
 
 
 def _survival(instance, shortcuts, length):
