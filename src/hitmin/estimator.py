@@ -8,19 +8,13 @@ truncation error and sampling error each stay within half of the allowed
 relative error.  Experiment mode relaxes everything and additionally
 subsamples the start nodes.
 
-A guarantee-mode estimate whose trial count comes from the formula runs
-in two stages: a pilot of walks per start node bounds each node's variance
-by Maurer and Pontil's empirical bound ("Empirical Bernstein bounds and
-sample variance penalization", COLT 2009, Thm 10), and one count for every
-node from Bernstein's inequality, capped at Hoeffding's, draws the walks
-behind the means.  Both counts and the pilot's size follow from the walk
-length, epsilon, delta and the number of start nodes.  Where the pilot
-could not pay for itself, the estimate takes Hoeffding's count in one
-stage.  ``estimate_mean_hitting`` states and proves the guarantee.  Every
-other estimate takes its count in one stage.
+A guarantee-mode estimate whose trial count comes from the formula draws
+Hoeffding's count at deviation epsilon/2 and failure delta/m, m the number
+of sampled start nodes; ``estimate_mean_hitting`` states and proves the
+guarantee.
 
-One kernel, ``_stage``, runs every walk, a whole stage of an estimate in
-one call.  It reads the red rows through one count table per estimate,
+One kernel, ``_stage``, runs every walk, all of an estimate's walks in one
+call.  It reads the red rows through one count table per estimate,
 ``graph.augmented_view``, built from the base CSR and the shortcut counts.
 It walks occupancy counts, how many of each start node's walks stand on each
 red node, and each step splits every count over the node's red neighbours
@@ -29,10 +23,10 @@ one or more per bucket of the table.  So a step costs what the occupied
 (start, node) pairs cost, whatever the number of walks, in memory bounded
 by those pairs, and each start's sum of step counts, and of their squares,
 come from its live counts as exact integers.
-An estimate draws all its walks from one generator, stage after stage.  The
-spectral radius reads the red block's entries from ``graph.block_entries``
-and the bounded-step expectation reads the block from ``exact._chain``,
-each with the shortcuts added to the red degrees.
+An estimate draws all its walks from one generator.  The spectral radius
+reads the red block's entries from ``graph.block_entries`` and the
+bounded-step expectation reads the block from ``exact._chain``, each with
+the shortcuts added to the red degrees.
 """
 
 from __future__ import annotations
@@ -91,7 +85,13 @@ def truncation_length(mean_red_degree: float, epsilon: float, spectral_bound: fl
 
 
 def sample_count(walk_length: int, epsilon: float, delta: float, node_count: int) -> int:
-    """Per-node trial count from Hoeffding's bound on [0, walk_length] values."""
+    """Per-node trial count from Hoeffding's bound on [0, walk_length] values.
+
+    This is t_H, the count an experiment-mode estimate draws and the least
+    ``samples_per_node`` override guarantee mode takes.  A guarantee-mode
+    estimate whose count comes from the formula draws
+    ``estimate_mean_hitting``'s t_1 instead.
+    """
     if walk_length < 1:
         raise InvalidParameter(f"walk length must be >= 1, got {walk_length}")
     if epsilon <= 0:
@@ -103,36 +103,6 @@ def sample_count(walk_length: int, epsilon: float, delta: float, node_count: int
     return math.ceil(
         (walk_length ** 2 / epsilon ** 2) * math.log(2.0 * node_count / delta)
     )
-
-
-def _stage_counts(walk_length, deviation, delta, starts):
-    """(single, pilot, cap) of a guarantee-mode estimate from ``starts``
-    start nodes whose count comes from the formula; see
-    ``estimate_mean_hitting``.
-
-    ``single`` is Hoeffding's count for ``deviation`` at failure
-    delta/starts, the count of a one-stage estimate, and ``cap`` the same
-    at failure delta/(2·starts), the largest second stage.  The pilot is
-    twice the size that minimises the pilot plus the smallest second
-    stage, or 0 where the two together would reach ``single``, so that the
-    estimate draws ``single`` walks in one stage.
-    """
-    low, high = math.log(2.0 * starts / delta), math.log(4.0 * starts / delta)
-    single = math.ceil(walk_length ** 2 * low / (2.0 * deviation ** 2))
-    cap = math.ceil(walk_length ** 2 * high / (2.0 * deviation ** 2))
-    pilot = math.ceil(4.0 * walk_length * math.sqrt(low * high) / deviation)
-    least = min(cap, _bernstein_count(0.0, pilot, walk_length, deviation, delta, starts))
-    return single, (pilot if pilot + least < single else 0), cap
-
-
-def _bernstein_count(spread, pilot, walk_length, deviation, delta, starts):
-    """Bernstein's count for ``deviation`` at failure delta/(2·starts), from
-    the largest pilot sample std ``spread`` raised by Maurer and Pontil's
-    bound at delta/(2·starts); see ``estimate_mean_hitting``."""
-    sigma = spread + walk_length * math.sqrt(2.0 * math.log(2.0 * starts / delta)
-                                             / (pilot - 1))
-    return math.ceil((2.0 * sigma ** 2 + 2.0 * walk_length * deviation / 3.0)
-                     * math.log(4.0 * starts / delta) / deviation ** 2)
 
 
 def _sample_std(trials, total, total_sq):
@@ -193,9 +163,9 @@ class EstimatorConfig:
     values: full sampling, a spectral override no smaller than the computed
     radius, and walk/trial overrides no smaller than the formulas with
     epsilon/2.  A guarantee-mode trial count taken from the formula is
-    ``estimate_mean_hitting``'s two-stage count, sized by the number of
-    sampled start nodes.  ``seed`` keys the one generator that all of an
-    estimate's walks draw from, and the start-node subsample.
+    Hoeffding's count t_1 at failure delta/m (``estimate_mean_hitting``), m
+    the number of sampled start nodes.  ``seed`` keys the one generator that
+    all of an estimate's walks draw from, and the start-node subsample.
     """
 
     epsilon: float = 0.1
@@ -226,11 +196,8 @@ class Estimate:
 
     ``samples_per_node`` walks per sampled node give ``per_node_means``,
     and ``walk_steps`` is the exact number of steps they took, the sum of
-    min(T, walk_length) over all of them.  A two-stage estimate first ran
-    ``pilot_samples`` walks per node, taking ``pilot_steps`` steps in all,
-    which only size the second stage; both are 0 for every other estimate.
-    An estimate is ``degenerate`` when its walks were cut at one step, so
-    every walk counts exactly 1.
+    min(T, walk_length) over all of them.  An estimate is ``degenerate``
+    when its walks were cut at one step, so every walk counts exactly 1.
     """
 
     value: float
@@ -242,8 +209,6 @@ class Estimate:
     per_node_means: np.ndarray
     config: EstimatorConfig
     walk_steps: int
-    pilot_samples: int
-    pilot_steps: int
 
     @property
     def degenerate(self) -> bool:
@@ -343,8 +308,8 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
 
     Deterministic for a fixed (instance, shortcuts, config): the start-node
     subsample draws from a generator keyed by (seed, 1), and every walk from
-    one keyed by (seed, 0), stage after stage, each stage one ``_stage`` call
-    over the sampled nodes in ascending order.  The walks run on the count
+    one keyed by (seed, 0), in one ``_stage`` call over the sampled nodes in
+    ascending order.  The walks run on the count
     table ``augmented_view(instance, shortcuts)``, where a shortcut absorbs
     the walk.
 
@@ -359,7 +324,7 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     that rounding, but cost a draw per walk and step; the kernel that
     reproduced ``rng.integers(0, deg)`` walk by walk, bit for bit, was
     dropped on purpose for one whose steps cost what the occupied (start,
-    node) pairs cost, not what t does.  The proof below takes each stage's
+    node) pairs cost, not what t does.  The proof below takes the stage's
     sums as sums of independent draws of X.
 
     The guarantee.  Let ℓ be the walk length, a = epsilon/2 and m the number
@@ -370,54 +335,17 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     its μ_u, and so the estimate within a of their mean.  The truncation's
     share of the error is ``truncation_length``'s.
 
-    A guarantee-mode estimate with the count from the formula draws two
-    stages of walks, or t_1 walks in one (below); every other estimate
-    draws its count in one stage.  t_H = ⌈ℓ²/a²·ln(2n/δ)⌉, n the node count
-    of ``instance``, is Hoeffding's count at epsilon/2 (``sample_count``),
-    the least ``samples_per_node`` override guarantee mode takes.
-    Hoeffding's inequality for t values in [0, ℓ],
+    A guarantee-mode estimate with the count from the formula draws
+    t_1 = ⌈ℓ²·ln(2m/δ)/(2a²)⌉ walks per node; every other estimate draws
+    ``sample_count``'s count at its epsilon, or the override.
+    t_H = ⌈ℓ²/a²·ln(2n/δ)⌉, n the node count of ``instance``, is Hoeffding's
+    count at epsilon/2, the least ``samples_per_node`` override guarantee
+    mode takes.  Hoeffding's inequality for t values in [0, ℓ],
     P(|X̄ − μ| ≥ s) ≤ 2·exp(−2ts²/ℓ²), puts a node beyond a with
-    probability at most δ/m once t ≥ t_1 = ⌈ℓ²·ln(2m/δ)/(2a²)⌉, and a union
-    bound over the m start nodes gives the statement for any count of at
-    least t_1; t_H walks, at least 2·t_1 since m ≤ n, give it at the
-    tighter deviation a/√2.
-
-    Two stages.  Write L_2 = ln(2m/δ) and L_4 = ln(4m/δ).  The pilot is
-    t0 = ⌈4ℓ·√(L_2·L_4)/a⌉ walks per node (at least 8), and the cap is
-    Hoeffding's count at deviation a and failure δ/(2m),
-    t_cap = ⌈ℓ²·L_4/(2a²)⌉.
-
-    1. Pilot.  Each node's t0 walks give its sample variance V̂_u (ddof 1).
-       For t0 ≥ 2 independent values in [0, 1], Maurer and Pontil
-       ("Empirical Bernstein bounds and sample variance penalization", COLT
-       2009, Thm 10) give P(σ > √V̂ + √(2·ln(1/δ')/(t0 − 1))) ≤ δ'.  Scaled
-       to [0, ℓ], at δ' = δ/(2m): σ_u ≤ σ̄_u = √V̂_u + ℓ·√(2·L_2/(t0 − 1))
-       except with probability at most δ/(2m).
-    2. Second stage.  Every node draws t2 = min(t_cap,
-       max_u ⌈(2σ̄_u² + 2ℓa/3)·L_4/a²⌉) more walks, and only these give its
-       mean.  They take the draws the generator makes after all the
-       pilots', so given the pilots, which fix t2, they are independent
-       draws of X.  Bernstein's inequality for t such draws, each within ℓ
-       of μ, is P(|X̄ − μ| ≥ a) ≤ 2·exp(−t·a²/(2σ² + 2ℓa/3)).  Where
-       σ_u ≤ σ̄_u, t2 is at least the count this needs at δ/(2m) with σ_u,
-       or is t_cap, which Hoeffding's inequality needs at δ/(2m) with no
-       variance term.  So a node misses by a with probability at most
-       δ/(2m) given the pilots, on the event σ_u ≤ σ̄_u.
-    3. A union bound over the m start nodes and both events of each gives
-       failure at most m·δ/(2m) + m·δ/(2m) = δ.
-
-    The proof holds for any pilot size fixed before sampling.  At V̂ = 0,
-    t2(t0) = (4ℓ²·L_2/(t0 − 1) + 2ℓa/3)·L_4/a² before rounding, and
-    t0 + t2(t0) is least at t0 − 1 = 2ℓ·√(L_2·L_4)/a.  A node with V̂ > 0
-    adds 2·√V̂·ℓ·√(2·L_2/(t0 − 1)) to σ̄², a term that falls more slowly
-    with t0, so the best pilot is larger; t0 is twice the minimiser at
-    V̂ = 0, which modelled the benchmark's estimates best among the rules
-    compared.  Since V̂_u ≥ 0, t2 is at least t2(t0), or t_cap if that is
-    smaller.  Where t0 and that least t2 together reach t_1, no pilot can
-    pay for itself, and the estimate draws t_1 walks in one stage instead:
-    which path an estimate takes depends on ℓ, a, δ and m only.  Where
-    Hoeffding's count has ℓ²/2, the second stage has 2σ̄_u² + 2ℓa/3, and
-    bounded step counts vary far less than their range.
+    probability at most δ/m once t ≥ t_1, and a union bound over the m
+    start nodes gives the statement for any count of at least t_1; t_H
+    walks, at least 2·t_1 since m ≤ n, give it at the tighter deviation
+    a/√2.
     """
     config = config or EstimatorConfig()
     if not 0 < config.epsilon < 1:
@@ -467,6 +395,10 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
                 f"guarantee mode needs at least {t_formula} samples per node"
             )
         trials = int(config.samples_per_node)
+    elif config.guarantee:
+        # t_1: guarantee mode samples every red node, so m = |R|
+        trials = math.ceil(ell ** 2 * math.log(2.0 * instance.red_ids.size / config.delta)
+                           / (2.0 * eps_eff ** 2))
     else:
         trials = t_formula
 
@@ -488,17 +420,6 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         sampled = np.sort(sub_rng.choice(reds, size=size, replace=False))
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy + (0,)))
-    pilot = pilot_steps = 0
-    if config.guarantee and config.samples_per_node is None:
-        trials, pilot, cap = _stage_counts(ell, eps_eff, config.delta, sampled.size)
-    if pilot:
-        totals, squares, _ = _stage(view, sampled, pilot, ell, rng)
-        pilot_steps = sum(totals)
-        # the largest pilot std gives every node's second-stage count
-        spread = max(_sample_std(pilot, t, q) for t, q in zip(totals, squares))
-        trials = min(cap, _bernstein_count(spread, pilot, ell, eps_eff, config.delta,
-                                           sampled.size))
-
     totals, _, _ = _stage(view, sampled, trials, ell, rng)
     # integer sums below 2**53 divided once: the bits of steps.mean()
     per_node = np.array([t / trials for t in totals])
@@ -514,8 +435,6 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
         per_node_means=per_node,
         config=config,
         walk_steps=walk_steps,
-        pilot_samples=pilot,
-        pilot_steps=pilot_steps,
     )
 
 

@@ -1,5 +1,6 @@
 """Sampled hitting-time estimation: formulas, walks, and seed discipline."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -154,15 +155,14 @@ def test_guarantee_mode_rejects_weak_overrides(path5):
 
 
 def test_guarantee_mode_halves_epsilon(path5):
-    # the walks grow longer; the pilot and the second stage together take
-    # fewer walks than Hoeffding's count at epsilon/2
+    # the walks grow longer; Hoeffding's count at delta/m, m = 4 start
+    # nodes, is fewer walks than the same count at delta/n
     shared = dict(epsilon=0.2, delta=0.2, spectral_bound=0.8, seed=0)
     loose = estimate_mean_hitting(path5, config=EstimatorConfig(**shared))
     tight = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, guarantee=True))
     assert tight.walk_length > loose.walk_length
-    assert (tight.walk_length, tight.pilot_samples, tight.samples_per_node) == (19, 3056,
-                                                                                13615)
-    assert tight.pilot_samples + tight.samples_per_node < sample_count(19, 0.1, 0.2, 5)
+    assert (tight.walk_length, tight.samples_per_node) == (19, 66585)
+    assert tight.samples_per_node < sample_count(19, 0.1, 0.2, 5)
 
 
 def test_subsample_picks_at_least_one_node(path5):
@@ -609,20 +609,18 @@ def test_estimate_peak_memory():
 
 
 def test_estimator_stream_is_pinned(path5):
-    # a pilot, then fewer walks than Hoeffding's count, which give the means
+    # Hoeffding's count at delta/m, m = 4 start nodes, in one stage
     est = estimate_mean_hitting(
         path5, config=EstimatorConfig(epsilon=0.2, delta=0.2, seed=11, guarantee=True))
-    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (11, 1770, 10304)
-    assert (est.walk_steps, est.pilot_steps) == (141443, 24382)
+    assert (est.walk_length, est.samples_per_node, est.walk_steps) == (11, 22318, 305170)
     assert est.per_node_means.tolist() == [
-        3.8977096273291925, 2.9902950310559007, 2.953804347826087, 3.885190217391304]
+        3.931087014965499, 2.952773546016668, 2.883322878394121, 3.906532843444753]
     planted = gen_planted_two_community(4, 4, 0.6, 0.3, 4)
     est = estimate_mean_hitting(
         planted, config=EstimatorConfig(epsilon=0.3, delta=0.2, seed=5, guarantee=True))
-    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (29, 3110, 24565)
-    assert (est.walk_steps, est.pilot_steps) == (556330, 70677)
+    assert (est.walk_length, est.samples_per_node, est.walk_steps) == (29, 68942, 1560618)
     assert est.per_node_means.tolist() == [
-        4.969794422959495, 8.854834113576226, 7.822633828617953, 1.0]
+        4.948362391575527, 8.86812102927098, 7.820196687070291, 1.0]
 
 
 def test_greedy_plus_stream_is_pinned():
@@ -631,13 +629,13 @@ def test_greedy_plus_stream_is_pinned():
     selection, trace = greedy_plus(graph, 1, epsilon=0.25, estimator_config=cfg,
                                    cap_at_k=False)
     assert selection.endpoints == (0, 0, 0, 1, 1, 1, 2, 2, 2, 3)
-    assert trace.endpoints == [2, 0, 1, 2, 3, 2, 0, 0, 1, 1]
+    assert trace.endpoints == [0, 2, 1, 0, 2, 0, 1, 3, 1, 2]
     assert trace.values == [
-        2.1139910813823857, 1.9313817330210772, 1.8333333333333333,
-        1.7321334734629532, 1.6708196721311477, 1.6051336146272857,
-        1.5802669552669553, 1.529788838612368, 1.4976599063962557,
-        1.4719703215169002]
-    assert trace.evaluations == 29
+        2.1083877995642704, 1.9380347974900172, 1.8397746719908727,
+        1.752780946948089, 1.6747994652406417, 1.6158645276292334,
+        1.56729055258467, 1.5337566844919786, 1.5052361853832443,
+        1.4799465240641712]
+    assert trace.evaluations == 33
 
 
 @pytest.mark.parametrize("config", [
@@ -647,23 +645,20 @@ def test_greedy_plus_stream_is_pinned():
     pytest.param(EstimatorConfig(epsilon=0.2, delta=0.2, seed=3, guarantee=True,
                                  samples_per_node=47336), id="guarantee-override"),
 ])
-def test_only_formula_counts_in_guarantee_mode_run_a_pilot(path5, config):
+def test_only_formula_counts_in_guarantee_mode_take_t_1(path5, config):
     est = estimate_mean_hitting(path5, config=config)
-    assert est.pilot_samples == est.pilot_steps == 0
     assert est.samples_per_node == (config.samples_per_node
                                     or sample_count(est.walk_length, 0.2, 0.2, 5))
 
 
-def test_guarantee_mode_without_a_paying_pilot_takes_one_stage():
-    # ell = 5, a = 0.45, m = 4 start nodes, delta = 0.5: the pilot,
-    # ceil(4 ell sqrt(ln 16 ln 32) / a) = 138 walks, and the smallest second
-    # stage, 61, reach Hoeffding's count at delta/m, ceil(25 ln 16 / (2 a**2))
-    # = 172, so the estimate draws those walks in one stage
+def test_guarantee_mode_draws_hoeffdings_count_in_one_stage():
+    # ell = 5, a = 0.45, m = 4 start nodes, delta = 0.5: Hoeffding's count
+    # at delta/m, ceil(25 ln 16 / (2 a**2)) = 172, in one stage
     planted = gen_planted_two_community(4, 4, 0.6, 0.3, 0)
     est = estimate_mean_hitting(planted, config=EstimatorConfig(
         epsilon=0.9, delta=0.5, seed=3, guarantee=True))
-    assert (est.walk_length, est.pilot_samples, est.samples_per_node) == (5, 0, 172)
-    assert (est.walk_steps, est.pilot_steps) == (1506, 0)
+    assert (est.walk_length, est.samples_per_node) == (5, 172)
+    assert est.walk_steps == 1506
     assert est.per_node_means.tolist() == [
         2.2790697674418605, 1.930232558139535, 2.4127906976744184, 2.133720930232558]
 
@@ -672,7 +667,7 @@ def test_guarantee_mode_without_a_paying_pilot_takes_one_stage():
     pytest.param(gen_path(5, [2]), 0.2, id="path5"),
     pytest.param(gen_planted_two_community(4, 4, 0.6, 0.3, 4), 0.3, id="planted4"),
 ])
-def test_two_stage_means_cover_at_the_stated_rate(graph, epsilon):
+def test_guarantee_mode_means_cover_at_the_stated_rate(graph, epsilon):
     # with probability at least 1 - delta every per-node mean lies within
     # epsilon/2 of its bounded-walk expectation
     delta, runs = 0.2, 40
@@ -681,7 +676,9 @@ def test_two_stage_means_cover_at_the_stated_rate(graph, epsilon):
         est = estimate_mean_hitting(graph, config=EstimatorConfig(
             epsilon=epsilon, delta=delta, seed=seed, guarantee=True))
         hoeffding = sample_count(est.walk_length, epsilon / 2, delta, graph.n)
-        assert 0 < est.pilot_samples and est.samples_per_node < hoeffding
+        t_1 = math.ceil(est.walk_length ** 2 * math.log(2 * graph.red_ids.size / delta)
+                        / (2 * (epsilon / 2) ** 2))
+        assert est.samples_per_node == t_1 < hoeffding
         expected = expected_bounded_steps(graph, length=est.walk_length)
         covered += bool(np.all(np.abs(est.per_node_means - expected) <= epsilon / 2))
     assert covered >= (1 - delta) * runs
