@@ -109,8 +109,8 @@ def _derived_seed(master: int, algo_index: int, frac_index: int, rep: int) -> in
 def _estimator_config(args, seed: int) -> EstimatorConfig:
     sb = args.spectral_bound
     if sb is None:
-        # experiment protocol fixes the knob at 0.1; the guarantee needs a
-        # true upper bound, so leave it to power iteration there
+        # experiment protocol fixes the knob at 0.1; guarantee mode
+        # computes it and rejects any value
         sb = None if args.guarantee else 0.1
     elif sb < 0:
         sb = None
@@ -331,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--delta", type=float, default=0.1)
     p_run.add_argument("--spectral-bound", dest="spectral_bound",
                        type=float, default=None,
-                       help="walk-length knob (default 0.1; computed under "
-                            "--guarantee; any negative value forces computation)")
+                       help="walk-length knob (default 0.1; any negative value "
+                            "forces computation; --guarantee computes it and "
+                            "rejects a nonnegative value)")
     p_run.add_argument("--subsample", type=float, default=0.1,
                        help="fraction of red start nodes per estimate")
     p_run.add_argument("--guarantee", action="store_true",

@@ -8,10 +8,9 @@ truncation error and sampling error each stay within half of the allowed
 relative error.  Experiment mode relaxes everything and additionally
 subsamples the start nodes.
 
-A guarantee-mode estimate whose trial count comes from the formula draws
-Hoeffding's count at deviation epsilon/2 and failure delta/m, m the number
-of sampled start nodes; ``estimate_mean_hitting`` states and proves the
-guarantee.
+A guarantee-mode estimate takes no overrides: it samples every red node
+and draws Hoeffding's count at deviation epsilon/2 and failure delta/|R|;
+``estimate_mean_hitting`` states and proves the guarantee.
 
 One kernel, ``_stage``, runs every walk, all of an estimate's walks in one
 call.  It reads the red rows through one count table per estimate,
@@ -58,6 +57,8 @@ _SPECTRAL_TOL = 1e-6
 _SPECTRAL_MAX_ITER = 10000
 # cells, one per (pair, category), that one split call's temporaries hold
 _CELLS = 1 << 15
+# the EstimatorConfig fields that guarantee mode derives and so rejects
+_OVERRIDES = ("spectral_bound", "walk_length", "samples_per_node", "subsample_fraction")
 
 
 def truncation_length(mean_red_degree: float, epsilon: float, spectral_bound: float) -> int:
@@ -87,10 +88,8 @@ def truncation_length(mean_red_degree: float, epsilon: float, spectral_bound: fl
 def sample_count(walk_length: int, epsilon: float, delta: float, node_count: int) -> int:
     """Per-node trial count from Hoeffding's bound on [0, walk_length] values.
 
-    This is t_H, the count an experiment-mode estimate draws and the least
-    ``samples_per_node`` override guarantee mode takes.  A guarantee-mode
-    estimate whose count comes from the formula draws
-    ``estimate_mean_hitting``'s t_1 instead.
+    This is the count an experiment-mode estimate draws; a guarantee-mode
+    estimate draws ``estimate_mean_hitting``'s t_1 instead.
     """
     if walk_length < 1:
         raise InvalidParameter(f"walk length must be >= 1, got {walk_length}")
@@ -158,14 +157,12 @@ class EstimatorConfig:
     Unset fields are resolved per call: the spectral bound from power
     iteration on the degree-normalized red-red block, the red degrees
     counting the shortcuts; walk length and trial count from the
-    formulas; and the subsample fraction from the mode (1.0 when
-    ``guarantee`` is set, 0.1 otherwise).  Guarantee mode insists on safe
-    values: full sampling, a spectral override no smaller than the computed
-    radius, and walk/trial overrides no smaller than the formulas with
-    epsilon/2.  A guarantee-mode trial count taken from the formula is
-    Hoeffding's count t_1 at failure delta/m (``estimate_mean_hitting``), m
-    the number of sampled start nodes.  ``seed`` keys the one generator that
-    all of an estimate's walks draw from, and the start-node subsample.
+    formulas; and the subsample fraction 0.1.  With ``guarantee`` set,
+    every walk knob comes from the proof in ``estimate_mean_hitting``, and
+    setting ``spectral_bound``, ``walk_length``, ``samples_per_node`` or
+    ``subsample_fraction`` raises InvalidParameter.  ``seed`` keys the one
+    generator that all of an estimate's walks draw from, and the start-node
+    subsample.
     """
 
     epsilon: float = 0.1
@@ -303,6 +300,19 @@ def _stage(view, starts, trials, limit, rng):
     return total.tolist(), total_sq.tolist(), live.tolist()
 
 
+def _guarantee_knobs(instance, shortcuts, view, epsilon, delta):
+    """Guarantee mode's (λ, ℓ, t) for ``instance`` with ``shortcuts`` and its
+    count table ``view``: the computed spectral radius, the walk length at
+    epsilon/2, and Hoeffding's count t_1 at epsilon/2 and delta/|R|, every
+    red node a start (``estimate_mean_hitting``)."""
+    lam = spectral_radius(instance, shortcuts)
+    a = epsilon / 2.0
+    # the red rows' slot count is their degrees' sum, counting the shortcuts
+    ell = truncation_length(view.slots / view.red_ids.size, a, lam)
+    trials = math.ceil(ell ** 2 * math.log(2.0 * view.red_ids.size / delta) / (2.0 * a ** 2))
+    return lam, ell, trials
+
+
 def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | None = None) -> Estimate:
     """Estimate the mean red-to-blue hitting time with bounded walks.
 
@@ -327,25 +337,22 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     node) pairs cost, not what t does.  The proof below takes the stage's
     sums as sums of independent draws of X.
 
-    The guarantee.  Let ℓ be the walk length, a = epsilon/2 and m the number
-    of sampled start nodes: m = |R| in guarantee mode, which samples every
-    red node.  A walk from red node u counts X = min(T, ℓ) steps, with mean
-    μ_u (``expected_bounded_steps``) and variance σ_u².  In guarantee mode,
-    with probability at least 1 − δ, every per-node mean lies within a of
-    its μ_u, and so the estimate within a of their mean.  The truncation's
-    share of the error is ``truncation_length``'s.
+    The guarantee.  Guarantee mode takes no overrides: a config that sets
+    any of ``spectral_bound``, ``walk_length``, ``samples_per_node`` and
+    ``subsample_fraction`` raises InvalidParameter.  It samples every red
+    node, m = |R| of them, and takes the walk length ℓ from
+    ``truncation_length`` at a = epsilon/2 and the ``spectral_radius``.  A
+    walk from red node u counts X = min(T, ℓ) steps, with mean μ_u
+    (``expected_bounded_steps``).  With probability at least 1 − δ, every
+    per-node mean lies within a of its μ_u, and so the estimate within a of
+    their mean.  The truncation's share of the error is
+    ``truncation_length``'s.
 
-    A guarantee-mode estimate with the count from the formula draws
-    t_1 = ⌈ℓ²·ln(2m/δ)/(2a²)⌉ walks per node; every other estimate draws
-    ``sample_count``'s count at its epsilon, or the override.
-    t_H = ⌈ℓ²/a²·ln(2n/δ)⌉, n the node count of ``instance``, is Hoeffding's
-    count at epsilon/2, the least ``samples_per_node`` override guarantee
-    mode takes.  Hoeffding's inequality for t values in [0, ℓ],
-    P(|X̄ − μ| ≥ s) ≤ 2·exp(−2ts²/ℓ²), puts a node beyond a with
-    probability at most δ/m once t ≥ t_1, and a union bound over the m
-    start nodes gives the statement for any count of at least t_1; t_H
-    walks, at least 2·t_1 since m ≤ n, give it at the tighter deviation
-    a/√2.
+    Each node draws t_1 = ⌈ℓ²·ln(2m/δ)/(2a²)⌉ walks.  Hoeffding's
+    inequality for t values in [0, ℓ], P(|X̄ − μ| ≥ s) ≤ 2·exp(−2ts²/ℓ²),
+    puts a node beyond a with probability at most δ/m once t ≥ t_1, and a
+    union bound over the m start nodes gives the statement.  Experiment
+    mode draws ``sample_count``'s count at its epsilon, or the override.
     """
     config = config or EstimatorConfig()
     if not 0 < config.epsilon < 1:
@@ -355,69 +362,41 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
 
     view = augmented_view(instance, shortcuts)
     entropy = config.entropy()
-
-    lam_hat = None
-    if config.spectral_bound is None or config.guarantee:
-        lam_hat = spectral_radius(instance, shortcuts)
-    if config.spectral_bound is not None:
-        if not 0 <= config.spectral_bound < 1:
+    reds = instance.red_ids
+    if config.guarantee:
+        knobs = [name for name in _OVERRIDES if getattr(config, name) is not None]
+        if knobs:
+            raise InvalidParameter("guarantee mode derives every walk knob from "
+                                   f"its proof; unset {', '.join(knobs)}")
+        lam, ell, trials = _guarantee_knobs(instance, shortcuts, view,
+                                            config.epsilon, config.delta)
+        frac, sampled = 1.0, reds
+    else:
+        if config.spectral_bound is None:
+            lam = spectral_radius(instance, shortcuts)
+        elif not 0 <= config.spectral_bound < 1:
             raise InvalidParameter("spectral bound must lie in [0, 1)")
-        if config.guarantee and config.spectral_bound < lam_hat:
-            raise InvalidParameter(
-                f"guarantee mode rejects spectral bound {config.spectral_bound} "
-                f"below the computed radius {lam_hat:.6f}"
-            )
-        lam = config.spectral_bound
-    else:
-        lam = lam_hat
-
-    eps_eff = config.epsilon / 2.0 if config.guarantee else config.epsilon
-    # the red rows' slot count is their degrees' sum, counting the shortcuts
-    mean_red_degree = view.slots / view.red_ids.size
-    ell_formula = truncation_length(mean_red_degree, eps_eff, lam)
-    if config.walk_length is not None:
-        if config.walk_length < 1:
-            raise InvalidParameter("walk length must be >= 1")
-        if config.guarantee and config.walk_length < ell_formula:
-            raise InvalidParameter(
-                f"guarantee mode needs walk length >= {ell_formula}"
-            )
-        ell = int(config.walk_length)
-    else:
-        ell = ell_formula
-
-    t_formula = sample_count(ell, eps_eff, config.delta, instance.n)
-    if config.samples_per_node is not None:
-        if config.samples_per_node < 1:
-            raise InvalidParameter("samples per node must be >= 1")
-        if config.guarantee and config.samples_per_node < t_formula:
-            raise InvalidParameter(
-                f"guarantee mode needs at least {t_formula} samples per node"
-            )
-        trials = int(config.samples_per_node)
-    elif config.guarantee:
-        # t_1: guarantee mode samples every red node, so m = |R|
-        trials = math.ceil(ell ** 2 * math.log(2.0 * instance.red_ids.size / config.delta)
-                           / (2.0 * eps_eff ** 2))
-    else:
-        trials = t_formula
-
-    if config.subsample_fraction is not None:
-        frac = float(config.subsample_fraction)
+        else:
+            lam = config.spectral_bound
+        ell = truncation_length(view.slots / reds.size, config.epsilon, lam)
+        if config.walk_length is not None:
+            if config.walk_length < 1:
+                raise InvalidParameter("walk length must be >= 1")
+            ell = int(config.walk_length)
+        trials = sample_count(ell, config.epsilon, config.delta, instance.n)
+        if config.samples_per_node is not None:
+            if config.samples_per_node < 1:
+                raise InvalidParameter("samples per node must be >= 1")
+            trials = int(config.samples_per_node)
+        frac = 0.1 if config.subsample_fraction is None else float(config.subsample_fraction)
         if not 0 < frac <= 1:
             raise InvalidParameter("subsample fraction must lie in (0, 1]")
-        if config.guarantee and frac != 1.0:
-            raise InvalidParameter("guarantee mode requires full start-node sampling")
-    else:
-        frac = 1.0 if config.guarantee else 0.1
-
-    reds = instance.red_ids
-    if frac >= 1.0:
-        sampled = reds
-    else:
-        size = max(1, int(frac * reds.size))
-        sub_rng = np.random.default_rng(np.random.SeedSequence(entropy + (1,)))
-        sampled = np.sort(sub_rng.choice(reds, size=size, replace=False))
+        if frac >= 1.0:
+            sampled = reds
+        else:
+            size = max(1, int(frac * reds.size))
+            sub_rng = np.random.default_rng(np.random.SeedSequence(entropy + (1,)))
+            sampled = np.sort(sub_rng.choice(reds, size=size, replace=False))
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy + (0,)))
     totals, _, _ = _stage(view, sampled, trials, ell, rng)

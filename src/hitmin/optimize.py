@@ -146,10 +146,11 @@ def greedy_plus(instance, k: int, epsilon: float = 0.1,
                 cap_at_k: bool = True):
     """Greedy insertion driven by the sampled mean-hitting estimator.
 
-    In guarantee mode the algorithm epsilon must not exceed 1/(4k); the
-    doubled iteration budget then gives a (2+epsilon)-approximation with
-    high probability.  Every candidate evaluation draws from a seed stream
-    keyed by (iteration, candidate) so reruns are reproducible.
+    In guarantee mode the algorithm epsilon must not exceed 1/(4k) and must
+    be the estimator's epsilon; the doubled iteration budget then gives a
+    (2+epsilon)-approximation with high probability.  Every candidate
+    evaluation draws from a seed stream keyed by (iteration, candidate) so
+    reruns are reproducible.
     """
     if k < 1:
         raise InvalidParameter(f"budget k must be >= 1, got {k}")
@@ -159,6 +160,11 @@ def greedy_plus(instance, k: int, epsilon: float = 0.1,
     if config.guarantee and epsilon > 1.0 / (4 * k) + 1e-15:
         raise InvalidParameter(
             f"guarantee mode needs epsilon <= 1/(4k) = {1.0 / (4 * k)}, got {epsilon}"
+        )
+    if config.guarantee and config.epsilon != epsilon:
+        raise InvalidParameter(
+            f"guarantee mode needs the estimator's epsilon {config.epsilon} "
+            f"to be the algorithm's epsilon {epsilon}"
         )
     tau = k if cap_at_k else iteration_budget(k, instance.n, epsilon, estimated=True)
     trace = GreedyTrace(mode="estimated", budget=tau)

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HitminError, SolverFailure
-from .estimator import (EstimatorConfig, empirical_hitting,
+from .estimator import (EstimatorConfig, _guarantee_knobs, empirical_hitting,
                         estimate_mean_hitting, expected_bounded_steps,
-                        sample_count, spectral_radius, truncation_length)
+                        spectral_radius, truncation_length)
 from .exact import evaluate, hitting_to_blue
-from .graph import (BipartiteInstance, ShortcutSet, candidate_endpoints,
-                    load_instance)
+from .graph import (BipartiteInstance, ShortcutSet, augmented_view,
+                    candidate_endpoints, load_instance)
 from .kcenter import build_quasi_metric
 
 __all__ = ["CheckResult", "run_checks", "summarize", "has_failure"]
@@ -191,16 +191,19 @@ def _check_estimator_below(instance, profile, level):
 
 def _check_estimator_coverage(instance, profile, level):
     eps, delta = 0.2, 0.1
-    mean_red_degree = float(instance.degrees[instance.red_ids].mean())
-    lam = spectral_radius(instance)
-    ell = truncation_length(mean_red_degree, eps / 2.0, lam)
-    trials = sample_count(ell, eps / 2.0, delta, instance.n)
+    view = augmented_view(instance)
+    _, ell, trials = _guarantee_knobs(instance, None, view, eps, delta)
     seeds = 5 if level == "fast" else 40
-    cost = float(ell) * trials * instance.red_count * seeds
-    gate = 3e8 if level == "fast" else 3e9
+    # a kernel step costs occupied (start, node) pairs times row width, at
+    # most starts times the table's cells, whatever the walk count: about
+    # 100 ns a unit on 2 vCPUs, so fast stays within a few seconds
+    cells = sum(pvals.size for _, pvals, _ in view.buckets)
+    cost = float(ell) * instance.red_count * cells * seeds
+    gate = 3e7 if level == "fast" else 1e9
     if cost > gate:
         return _skip("estimator-coverage",
-                     f"estimated {cost:.2g} walk steps exceed the gate")
+                     f"estimated {cost:.2g} units of walk length x starts x "
+                     "count-table cells exceed the gate")
     g_exact = profile.mean_time
     hits = 0
     for seed in range(seeds):
@@ -210,7 +213,8 @@ def _check_estimator_coverage(instance, profile, level):
             hits += 1
     need = seeds if level == "fast" else math.ceil(0.9 * seeds)
     return _result("estimator-coverage", hits >= need,
-                   f"{hits}/{seeds} within {eps:g} of exact")
+                   f"{hits}/{seeds} within {eps:g} of exact, walk length {ell}, "
+                   f"{trials} walks per node")
 
 
 def _check_candidate_shrink(instance, level):

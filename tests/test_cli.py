@@ -129,6 +129,21 @@ def test_run_records_cell_failures_and_continues(tmp_path):
     assert rows[0]["g_exact"] == ""
 
 
+def test_guarantee_rejects_a_spectral_bound(tmp_path):
+    # guarantee mode derives the walk length from the computed radius; a
+    # nonnegative --spectral-bound reaches every greedy_plus row as an error
+    out = tmp_path / "sb.csv"
+    rc = main(["run", "--gen", "planted;n_red=4;n_blue=4;p_in=0.6;p_out=0.3;seed=4",
+               "--algorithms", "greedy_plus", "--guarantee", "--epsilon", "0.125",
+               "--spectral-bound", "0.9", "--fractions", "0.25,0.5", "--reps", "2",
+               "--seed", "4", "--output", str(out)])
+    assert rc == 0
+    rows = read_rows(out)
+    assert len(rows) == 4
+    assert all("InvalidParameter" in r["error"] and "spectral_bound" in r["error"]
+               for r in rows)
+
+
 def test_run_requires_seed_for_randomized(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--gen", "path;length=5;blue=2", "--algorithms", "pure_random",

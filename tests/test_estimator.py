@@ -132,37 +132,32 @@ def test_guarantee_mode_computes_spectral_bound(path5):
 
 
 def test_guarantee_mode_rejects_weak_overrides(path5):
-    with pytest.raises(InvalidParameter):
-        estimate_mean_hitting(
-            path5,
-            config=EstimatorConfig(epsilon=0.3, seed=0, guarantee=True, spectral_bound=0.2),
-        )
-    with pytest.raises(InvalidParameter):
-        estimate_mean_hitting(
-            path5,
-            config=EstimatorConfig(epsilon=0.3, seed=0, guarantee=True, walk_length=1),
-        )
-    with pytest.raises(InvalidParameter):
-        estimate_mean_hitting(
-            path5,
-            config=EstimatorConfig(epsilon=0.3, seed=0, guarantee=True, samples_per_node=2),
-        )
-    with pytest.raises(InvalidParameter):
-        estimate_mean_hitting(
-            path5,
-            config=EstimatorConfig(epsilon=0.3, seed=0, guarantee=True, subsample_fraction=0.5),
-        )
+    # every walk knob comes from the proof: guarantee mode rejects each
+    # override, weak or not, by name, before any walk
+    for knob, value in [("spectral_bound", 0.2), ("spectral_bound", 0.99),
+                        ("walk_length", 1), ("walk_length", 10**6),
+                        ("samples_per_node", 2), ("samples_per_node", 10**7),
+                        ("subsample_fraction", 0.5), ("subsample_fraction", 1.0)]:
+        with pytest.raises(InvalidParameter, match=knob):
+            estimate_mean_hitting(path5, config=EstimatorConfig(
+                epsilon=0.3, seed=0, guarantee=True, **{knob: value}))
+    with pytest.raises(InvalidParameter,
+                       match="spectral_bound, walk_length, samples_per_node, subsample_fraction"):
+        estimate_mean_hitting(path5, config=EstimatorConfig(
+            epsilon=0.3, seed=0, guarantee=True, spectral_bound=0.99, walk_length=10**6,
+            samples_per_node=10**7, subsample_fraction=1.0))
 
 
 def test_guarantee_mode_halves_epsilon(path5):
-    # the walks grow longer; Hoeffding's count at delta/m, m = 4 start
-    # nodes, is fewer walks than the same count at delta/n
-    shared = dict(epsilon=0.2, delta=0.2, spectral_bound=0.8, seed=0)
+    # at path5's computed radius 1/sqrt(2) the walks grow longer; Hoeffding's
+    # count at delta/m, m = 4 start nodes, is fewer walks than the same
+    # count at delta/n
+    shared = dict(epsilon=0.2, delta=0.2, seed=0)
     loose = estimate_mean_hitting(path5, config=EstimatorConfig(**shared))
     tight = estimate_mean_hitting(path5, config=EstimatorConfig(**shared, guarantee=True))
-    assert tight.walk_length > loose.walk_length
-    assert (tight.walk_length, tight.samples_per_node) == (19, 66585)
-    assert tight.samples_per_node < sample_count(19, 0.1, 0.2, 5)
+    assert loose.spectral_bound == tight.spectral_bound == pytest.approx(SQRT_HALF)
+    assert (loose.walk_length, tight.walk_length, tight.samples_per_node) == (9, 11, 22318)
+    assert tight.samples_per_node < sample_count(11, 0.1, 0.2, 5)
 
 
 def test_subsample_picks_at_least_one_node(path5):
@@ -641,14 +636,10 @@ def test_greedy_plus_stream_is_pinned():
 @pytest.mark.parametrize("config", [
     pytest.param(EstimatorConfig(epsilon=0.2, delta=0.2, spectral_bound=0.8, seed=0),
                  id="experiment"),
-    # Hoeffding's count at epsilon/2, given explicitly
-    pytest.param(EstimatorConfig(epsilon=0.2, delta=0.2, seed=3, guarantee=True,
-                                 samples_per_node=47336), id="guarantee-override"),
 ])
 def test_only_formula_counts_in_guarantee_mode_take_t_1(path5, config):
     est = estimate_mean_hitting(path5, config=config)
-    assert est.samples_per_node == (config.samples_per_node
-                                    or sample_count(est.walk_length, 0.2, 0.2, 5))
+    assert est.samples_per_node == sample_count(est.walk_length, 0.2, 0.2, 5)
 
 
 def test_guarantee_mode_draws_hoeffdings_count_in_one_stage():

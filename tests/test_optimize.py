@@ -176,6 +176,14 @@ def test_greedy_plus_guarantee_needs_small_epsilon(path5):
         greedy_plus(path5, 4, epsilon=0.1, estimator_config=cfg)
 
 
+def test_greedy_plus_guarantee_needs_the_estimators_epsilon():
+    # the estimates run at the config's epsilon: 0.9 would pass 1/(4k) as 0.1
+    graph = gen_planted_two_community(4, 4, 0.6, 0.3, 0)
+    cfg = EstimatorConfig(epsilon=0.9, guarantee=True)
+    with pytest.raises(InvalidParameter, match="estimator's epsilon"):
+        greedy_plus(graph, 2, epsilon=0.1, estimator_config=cfg, cap_at_k=False)
+
+
 def test_greedy_plus_deterministic_and_correct(path5):
     cfg = EstimatorConfig(epsilon=0.1, delta=0.1, seed=21, guarantee=True)
     s1, t1 = greedy_plus(path5, 2, epsilon=0.1, estimator_config=cfg)

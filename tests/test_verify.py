@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import hitmin.verify
-from hitmin import (SolverFailure, candidate_endpoints,
-                    gen_planted_two_community, has_failure, load_instance,
-                    run_checks, summarize)
+from hitmin import (EstimatorConfig, SolverFailure, candidate_endpoints,
+                    estimate_mean_hitting, gen_planted_two_community,
+                    has_failure, load_instance, run_checks, summarize)
 from hitmin.cli import main, parse_gen_spec
 
 
@@ -29,6 +29,30 @@ def test_planted_full_checks_pass():
     assert statuses["endpoint-invariance"] == "pass"
     assert statuses["triangle-inequality"] == "pass"
     assert statuses["supermodular-pairs"] == "pass"
+
+
+def test_fast_level_gates_coverage_on_the_kernels_cost():
+    # the gate counts walk length x starts x count-table cells: planted
+    # 20/20's five estimates take a fraction of a second and run; planted
+    # 200/200's take about a minute and skip, naming the unit
+    small = parse_gen_spec("planted;n_red=20;n_blue=20;p_in=0.3;p_out=0.1;seed=1", None)
+    status = {r.name: r.status for r in run_checks(small, level="fast")}
+    assert status["estimator-coverage"] == "pass"
+    large = gen_planted_two_community(200, 200, 0.1, 0.01, 5)
+    skipped = hitmin.verify._check_estimator_coverage(large, None, "fast")
+    assert skipped.status == "skip"
+    assert "walk length x starts x count-table cells" in skipped.detail
+
+
+@pytest.mark.parametrize("spec", ["path;length=5;blue=2",
+                                  "planted;n_red=20;n_blue=20;p_in=0.3;p_out=0.1;seed=1"])
+def test_coverage_check_resolves_the_estimators_knobs(spec):
+    inst = parse_gen_spec(spec, None)
+    detail = {r.name: r.detail for r in run_checks(inst, level="fast")}
+    est = estimate_mean_hitting(inst, None, EstimatorConfig(epsilon=0.2, delta=0.1,
+                                                            guarantee=True))
+    assert detail["estimator-coverage"].endswith(
+        f", walk length {est.walk_length}, {est.samples_per_node} walks per node")
 
 
 def test_level_validation(path5):
