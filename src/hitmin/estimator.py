@@ -14,7 +14,7 @@ and draws Hoeffding's count at deviation epsilon/2 and failure delta/|R|;
 
 One kernel, ``_stage``, runs every walk, all of an estimate's walks in one
 call.  It reads the red rows through one count table per estimate,
-``graph.augmented_view``, built from the base CSR and the shortcut counts.
+``graph.augmented_view``.
 It walks occupancy counts, how many of each start node's walks stand on each
 red node, and each step splits every count over the node's red neighbours
 and one absorbed category with broadcast ``Generator.multinomial`` calls,
@@ -22,10 +22,17 @@ one or more per bucket of the table.  So a step costs what the occupied
 (start, node) pairs cost, whatever the number of walks, in memory bounded
 by those pairs, and each start's sum of step counts, and of their squares,
 come from its live counts as exact integers.
-An estimate draws all its walks from one generator.  The spectral radius
-reads the red block's entries from ``graph.block_entries`` and the
-bounded-step expectation reads the block from ``exact._chain``, each with
-the shortcuts added to the red degrees.
+An estimate draws all its walks from one generator.
+
+What no shortcut changes is built once per instance, on its first estimate,
+and read by every later one: the red block's layout (``graph._RedBlock``,
+O(red slots) read-only numbers), which holds the block's entries, the
+power iteration's start vector, and the count table's rows, bucket widths,
+targets and the cell of every probability.  Each estimate computes the red
+degrees with the shortcuts added, ``degrees + shortcut_counts(...)``, from
+which its count table fills its probabilities and the spectral radius its
+matrix values.  The bounded-step expectation reads the block from
+``exact._chain``, with the shortcuts added to the red degrees.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .exact import _chain
-from .graph import augmented_view, block_entries, shortcut_counts
+from .graph import augmented_view, shortcut_counts
 
 __all__ = [
     "EstimatorConfig",
@@ -113,32 +120,35 @@ def _sample_std(trials, total, total_sq):
 def spectral_radius(instance, shortcuts=None) -> float:
     """Spectral radius of the degree-normalized red-red adjacency block.
 
-    M = D^{-1/2} A D^{-1/2}, from the red block's entries
-    (``graph.block_entries``) and degrees D counting the shortcuts.  Power
-    iteration on the squared matrix, so both extreme eigenvalues are
-    captured.  Each product with M is one ``np.bincount`` over the entries,
+    M = D^{-1/2} A D^{-1/2}, from the red block's entries and degrees D
+    counting the shortcuts.  Power iteration on the squared matrix, so both
+    extreme eigenvalues are captured, from a fixed random unit vector.  The
+    entries and that vector are built once per instance
+    (``graph._RedBlock``); each call computes only the degrees and M's
+    values.  Each product with M is one ``np.bincount`` over the entries,
     which sums each row in CSR order, as a sparse CSR product does.
     Returns 0 when the red subgraph has no edges.  The result is capped just
     below 1; weak chaining to the blue group keeps the true value strictly
     below 1 on valid instances.
     """
-    reds = instance.red_ids
-    rows, cols = block_entries(instance, reds)
+    block = instance._red_block
+    rows, cols = block.rows, block.cols
     if not rows.size:
         return 0.0
+    reds = instance.red_ids
     r = reds.size
     d = (instance.degrees + shortcut_counts(instance, shortcuts))[reds].astype(float)
     inv_sqrt = 1.0 / np.sqrt(d)
     vals = inv_sqrt[rows] * inv_sqrt[cols]
 
-    rng = np.random.default_rng(0x5EED)
-    v = rng.random(r)
-    v /= np.linalg.norm(v)
+    v = block.start
     est = 0.0
     for _ in range(_SPECTRAL_MAX_ITER):
         half = np.bincount(rows, vals * v[cols], minlength=r)
         w = np.bincount(rows, vals * half[cols], minlength=r)
-        nrm = float(np.linalg.norm(w))
+        # the formula np.linalg.norm uses on a 1-D float vector, so the
+        # same bits without its call overhead
+        nrm = math.sqrt(w @ w)
         if nrm <= 0.0:
             return 0.0
         new = math.sqrt(max(float(v @ w), 0.0))
@@ -160,9 +170,11 @@ class EstimatorConfig:
     formulas; and the subsample fraction 0.1.  With ``guarantee`` set,
     every walk knob comes from the proof in ``estimate_mean_hitting``, and
     setting ``spectral_bound``, ``walk_length``, ``samples_per_node`` or
-    ``subsample_fraction`` raises InvalidParameter.  ``seed`` keys the one
-    generator that all of an estimate's walks draw from, and the start-node
-    subsample.
+    ``subsample_fraction`` raises InvalidParameter.  That check, and the
+    check that epsilon and delta lie in (0, 1), run where the config is
+    built, so a config no estimate uses is checked too.  ``seed`` keys the
+    one generator that all of an estimate's walks draw from, and the
+    start-node subsample.
     """
 
     epsilon: float = 0.1
@@ -173,6 +185,16 @@ class EstimatorConfig:
     subsample_fraction: float | None = None
     seed: int | tuple = 0
     guarantee: bool = False
+
+    def __post_init__(self):
+        if not 0 < self.epsilon < 1:
+            raise InvalidParameter(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if not 0 < self.delta < 1:
+            raise InvalidParameter(f"delta must lie in (0, 1), got {self.delta}")
+        knobs = [name for name in _OVERRIDES if getattr(self, name) is not None]
+        if self.guarantee and knobs:
+            raise InvalidParameter("guarantee mode derives every walk knob from "
+                                   f"its proof; unset {', '.join(knobs)}")
 
     def entropy(self) -> tuple:
         if isinstance(self.seed, tuple):
@@ -337,16 +359,16 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     node) pairs cost, not what t does.  The proof below takes the stage's
     sums as sums of independent draws of X.
 
-    The guarantee.  Guarantee mode takes no overrides: a config that sets
-    any of ``spectral_bound``, ``walk_length``, ``samples_per_node`` and
-    ``subsample_fraction`` raises InvalidParameter.  It samples every red
-    node, m = |R| of them, and takes the walk length ℓ from
-    ``truncation_length`` at a = epsilon/2 and the ``spectral_radius``.  A
-    walk from red node u counts X = min(T, ℓ) steps, with mean μ_u
-    (``expected_bounded_steps``).  With probability at least 1 − δ, every
-    per-node mean lies within a of its μ_u, and so the estimate within a of
-    their mean.  The truncation's share of the error is
-    ``truncation_length``'s.
+    The guarantee.  Guarantee mode takes no overrides: an ``EstimatorConfig``
+    that sets any of ``spectral_bound``, ``walk_length``,
+    ``samples_per_node`` and ``subsample_fraction`` raises InvalidParameter
+    when it is built.  It samples every red node, m = |R| of them, and
+    takes the walk length ℓ from ``truncation_length`` at a = epsilon/2 and
+    the ``spectral_radius``.  A walk from red node u counts X = min(T, ℓ)
+    steps, with mean μ_u (``expected_bounded_steps``).  With probability at
+    least 1 − δ, every per-node mean lies within a of its μ_u, and so the
+    estimate within a of their mean.  The truncation's share of the error
+    is ``truncation_length``'s.
 
     Each node draws t_1 = ⌈ℓ²·ln(2m/δ)/(2a²)⌉ walks.  Hoeffding's
     inequality for t values in [0, ℓ], P(|X̄ − μ| ≥ s) ≤ 2·exp(−2ts²/ℓ²),
@@ -355,19 +377,10 @@ def estimate_mean_hitting(instance, shortcuts=None, config: EstimatorConfig | No
     mode draws ``sample_count``'s count at its epsilon, or the override.
     """
     config = config or EstimatorConfig()
-    if not 0 < config.epsilon < 1:
-        raise InvalidParameter(f"epsilon must lie in (0, 1), got {config.epsilon}")
-    if not 0 < config.delta < 1:
-        raise InvalidParameter(f"delta must lie in (0, 1), got {config.delta}")
-
     view = augmented_view(instance, shortcuts)
     entropy = config.entropy()
     reds = instance.red_ids
     if config.guarantee:
-        knobs = [name for name in _OVERRIDES if getattr(config, name) is not None]
-        if knobs:
-            raise InvalidParameter("guarantee mode derives every walk knob from "
-                                   f"its proof; unset {', '.join(knobs)}")
         lam, ell, trials = _guarantee_knobs(instance, shortcuts, view,
                                             config.epsilon, config.delta)
         frac, sampled = 1.0, reds

@@ -14,9 +14,11 @@ endpoints: the objectives depend on nothing else, so every consumer reads
 only the counts, and no blue partner is ever chosen.  The exact solves, the
 spectral radius and the bounded-step expectation take them as
 ``degrees + shortcut_counts(...)``.  The walks read an ``AugmentedView``, a
-table of the red rows built from the base CSR and the counts, each row the
-probabilities of a step to each red neighbour and of absorption, blue
-neighbours and shortcuts together.
+table of the red rows, each row the probabilities of a step to each red
+neighbour and of absorption, blue neighbours and shortcuts together.  Its
+layout, and the red block's entries the spectral radius reads, come from
+the instance's ``_RedBlock``, built once from the base CSR; a view fills
+only the probabilities from the counts.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import warnings
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +60,10 @@ class BipartiteInstance:
     instances leave it unset and fall back to the decimal index.
     Instances are immutable after construction; the adjacency lives in the
     read-only CSR arrays ``indptr`` and ``indices``, each row ascending.
+    The one thing added later is ``_red_block``, the red block's layout,
+    O(red slots) read-only arrays that no shortcut changes: the estimator's
+    first count table or spectral radius on the instance builds it, and
+    every later one reads it.
     ``capacity[v]`` is how many shortcuts node v can still take.
     ``edges`` is an (m, 2) integer array or an iterable of (u, v) pairs; an
     array is used as it is, without a round trip through Python tuples.
@@ -141,6 +148,10 @@ class BipartiteInstance:
             raise DisconnectedGraph(
                 f"graph has {n - reached} node(s) unreachable from node 0"
             )
+
+    @cached_property
+    def _red_block(self) -> "_RedBlock":
+        return _RedBlock(self)
 
     @property
     def red_count(self) -> int:
@@ -235,14 +246,13 @@ class AugmentedView:
     Red node v of degree d, its base degree plus its shortcuts, with r red
     neighbours sends a walk to each red neighbour with probability 1/d and
     absorbs it, at a blue neighbour or a shortcut, with probability
-    (d − r)/d.  Its table row, read from the red block's entries
-    (``block_entries``), holds these r + 1 categories in r + 1 rounded up to
-    a power of two, and at least 8, columns: the absorbed one first, then
-    zero padding, then the red neighbours in CSR order.  So a multinomial
-    draw takes the absorbed share first, at one rounding of (d − r)/d; each
-    padding column's probability is 0 over a remainder of at least about
-    1/d, never 0/0; and the last category, which the draw leaves to the
-    remainder, is a red neighbour.
+    (d − r)/d.  Its table row holds these r + 1 categories in r + 1 rounded
+    up to a power of two, and at least 8, columns: the absorbed one first,
+    then zero padding, then the red neighbours in CSR order.  So a
+    multinomial draw takes the absorbed share first, at one rounding of
+    (d − r)/d; each padding column's probability is 0 over a remainder of
+    at least about 1/d, never 0/0; and the last category, which the draw
+    leaves to the remainder, is a red neighbour.
 
     Rows of one width form a bucket: ``buckets`` holds one (lo, pvals,
     targets) per width, ascending, for the table rows lo, lo + 1, ...;
@@ -252,14 +262,51 @@ class AugmentedView:
     rows come first.  ``row`` holds each red node's table row, in
     ``red_ids`` order, and ``slots`` the red rows' slot count, the sum of
     their degrees.  A row holds at most max(8, 2r) numbers per array, so the
-    table is O(red slots), with no padding to the largest degree.  The base
-    is never modified.
+    table is O(red slots), with no padding to the largest degree.
+
+    Only ``pvals`` depends on the shortcuts, and only through the red
+    degrees: each view fills it from ``degrees + shortcut_counts(...)``.
+    Everything else, ``row``, the bucket widths, ``targets`` and the cell
+    of every probability, is the base's red-block layout (``_RedBlock``),
+    built once per instance and shared, read-only, by all its views.  The
+    base is never modified.
     """
 
     def __init__(self, base, shortcuts):
+        block = base._red_block
         reds = base.red_ids
         degrees = (base.degrees + shortcut_counts(base, shortcuts))[reds]
-        rows, cols = block_entries(base, reds)
+        cells = np.zeros(block.cells)
+        cells[block.absorbed_at] = ((degrees - block.red) / degrees)[block.absorbing]
+        cells[block.entry_at] = 1.0 / degrees[block.rows]
+        cells.setflags(write=False)
+        self.red_ids, self.row = reds, block.row
+        self.buckets = tuple(
+            (lo, cells[at:at + targets.size].reshape(targets.shape), targets)
+            for lo, at, targets in block.buckets)
+        self.slots = int(degrees.sum())
+
+
+class _RedBlock:
+    """The parts of an instance's red block that no shortcut changes, built
+    on first use (``BipartiteInstance._red_block``) and read-only.
+
+    ``rows`` and ``cols`` are the red block's entries (``block_entries`` on
+    ``red_ids``), and ``start``, drawn on its own first use, the unit start
+    vector of the power iteration in ``estimator.spectral_radius``.  The
+    rest lays out the count table (``AugmentedView``) as one flat run of
+    ``cells`` numbers, bucket after bucket, row after row: ``red`` holds
+    each red node's red-neighbour count and ``row`` its table row;
+    ``buckets`` one (lo, at, targets) per width, ascending, the bucket's
+    first table row, its first cell and its targets; ``absorbing`` the red
+    nodes with a row in a bucket, whose absorbed category sits in the cell
+    ``absorbed_at``; and ``entry_at`` the cell of each entry's 1/d.  Every
+    array is O(red slots).
+    """
+
+    def __init__(self, graph):
+        reds = graph.red_ids
+        rows, cols = block_entries(graph, reds)
         red = np.bincount(rows, minlength=reds.size)
         # 2**bit_length(r), the least power of two above r, and at least 8
         # so that small rows share one multinomial call; 0 without a red
@@ -268,27 +315,37 @@ class AugmentedView:
         order = np.argsort(width, kind="stable")
         row = np.empty(reds.size, dtype=np.int64)
         row[order] = np.arange(reds.size)
-        # each red entry's column: its rank within its row, after the
+        # each table row's first cell
+        first = np.zeros(reds.size + 1, dtype=np.int64)
+        np.cumsum(width[order], out=first[1:])
+        targets = np.full(first[-1], -1, dtype=np.int64)
+        # each red entry's cell: its rank within its row, after the
         # absorbed category and the padding
-        col = (width - red)[rows] + np.arange(rows.size) - np.repeat(np.cumsum(red) - red, red)
-        buckets, lo = [], 0
-        for w in np.unique(width).tolist():
-            members = order[lo:lo + int((width == w).sum())]
-            if w:
-                pvals = np.zeros((members.size, w))
-                targets = np.full((members.size, w), -1, dtype=np.int64)
-                pvals[:, 0] = ((degrees - red) / degrees)[members]
-                inside = width[rows] == w
-                at = (row[rows[inside]] - lo, col[inside])
-                pvals[at] = 1.0 / degrees[rows[inside]]
-                targets[at] = row[cols[inside]]
-                for arr in (pvals, targets):
-                    arr.setflags(write=False)
-                buckets.append((lo, pvals, targets))
-            lo += members.size
-        row.setflags(write=False)
-        self.red_ids, self.row, self.buckets = reds, row, tuple(buckets)
-        self.slots = int(degrees.sum())
+        entry_at = (first[row] + width - red)[rows] + np.arange(rows.size) \
+            - np.repeat(np.cumsum(red) - red, red)
+        targets[entry_at] = row[cols]
+        absorbing = np.flatnonzero(red)
+        absorbed_at = first[row[absorbing]]
+        for arr in (rows, cols, red, row, targets, absorbing, absorbed_at, entry_at):
+            arr.setflags(write=False)
+        buckets, lo = [], int((width == 0).sum())
+        for w in np.unique(width[width > 0]).tolist():
+            size = int((width == w).sum())
+            at = int(first[lo])
+            buckets.append((lo, at, targets[at:at + size * w].reshape(size, w)))
+            lo += size
+        self.rows, self.cols = rows, cols
+        self.red, self.row, self.buckets, self.cells = red, row, tuple(buckets), targets.size
+        self.absorbing, self.absorbed_at, self.entry_at = absorbing, absorbed_at, entry_at
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        # drawn only when a spectral radius needs it, so that a count table
+        # alone draws from no generator
+        start = np.random.default_rng(0x5EED).random(self.row.size)
+        start /= np.linalg.norm(start)
+        start.setflags(write=False)
+        return start
 
 
 def _check_edges(n, u, v):

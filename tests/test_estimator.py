@@ -618,6 +618,25 @@ def test_estimator_stream_is_pinned(path5):
         4.948362391575527, 8.86812102927098, 7.820196687070291, 1.0]
 
 
+def test_estimates_match_on_a_warm_and_a_cold_instance():
+    # the red block's layout is built by an instance's first estimate and
+    # read by every later one; an estimate on an instance whose layout
+    # earlier estimates built reads what one on a fresh equal instance does
+    def make():
+        return gen_planted_two_community(4, 4, 0.6, 0.3, 4)
+
+    warm = make()
+    cfg = EstimatorConfig(epsilon=0.3, delta=0.2, seed=5, guarantee=True)
+    estimate_mean_hitting(warm, (1,), cfg)
+    for shortcuts in ((), (0, 2, 2), (1,)):
+        assert spectral_radius(warm, shortcuts) == spectral_radius(make(), shortcuts)
+        a = estimate_mean_hitting(warm, shortcuts, cfg)
+        b = estimate_mean_hitting(make(), shortcuts, cfg)
+        assert (a.value, a.spectral_bound, a.walk_length, a.samples_per_node) == (
+            b.value, b.spectral_bound, b.walk_length, b.samples_per_node)
+        assert a.per_node_means.tolist() == b.per_node_means.tolist()
+
+
 def test_greedy_plus_stream_is_pinned():
     graph = gen_planted_two_community(4, 4, 0.6, 0.3, 0)
     cfg = EstimatorConfig(epsilon=0.25, delta=0.1, seed=(9, 0, 1), guarantee=True)

@@ -168,7 +168,7 @@ def _view_rows(view):
     return rows
 
 
-@pytest.mark.parametrize("make, shortcuts", [
+_VIEW_CASES = pytest.mark.parametrize("make, shortcuts", [
     (lambda: gen_path(5, [2]), (0,)),
     (_two_blue_instance, (1, 0, 0)),
     # node 3's one neighbour is blue, node 1's is red
@@ -176,6 +176,9 @@ def _view_rows(view):
     # red degrees of 9 and 10: a second bucket, 16 wide
     (lambda: gen_lollipop(20, 10), (29,)),
 ], ids=["path5", "two_blue", "planted4", "lollipop"])
+
+
+@_VIEW_CASES
 def test_augmented_view_matches_a_loop_over_neighbors(make, shortcuts):
     inst = make()
     view = augmented_view(inst, ShortcutSet(shortcuts))
@@ -195,6 +198,39 @@ def test_augmented_view_matches_a_loop_over_neighbors(make, shortcuts):
     assert lo == inst.red_count and widths == sorted(set(widths))
     assert view.red_ids[np.argsort(view.row)].tolist() == sorted(
         inst.red_ids.tolist(), key=lambda v: (width.get(v, 0), v))
+
+
+@_VIEW_CASES
+def test_augmented_views_share_one_red_block_layout(make, shortcuts):
+    # the first view builds the instance's layout and every later view
+    # reads it, filling only its own probabilities: each view matches the
+    # loop, and a view without shortcuts built after one with them is, bit
+    # for bit, the view a fresh equal instance builds first
+    inst = make()
+    assert "_red_block" not in vars(inst)
+    with_shortcuts = augmented_view(inst, ShortcutSet(shortcuts))
+    block = inst._red_block
+    plain = augmented_view(inst)
+    again = augmented_view(inst, ShortcutSet(shortcuts))
+    assert inst._red_block is block
+    assert _view_rows(with_shortcuts) == _view_rows(again) == _loop_rows(inst, shortcuts)
+    assert _view_rows(plain) == _loop_rows(inst, ())
+    cold = augmented_view(make())
+    np.testing.assert_array_equal(plain.row, cold.row)
+    assert len(plain.buckets) == len(cold.buckets)
+    for (lo, pvals, targets), (lo_c, pvals_c, targets_c) in zip(plain.buckets, cold.buckets):
+        assert lo == lo_c
+        assert pvals.tobytes() == pvals_c.tobytes()
+        np.testing.assert_array_equal(targets, targets_c)
+    # the layout's arrays are shared by the views and read-only
+    assert plain.row is with_shortcuts.row is block.row
+    for (_, _, targets), (_, _, shared) in zip(plain.buckets, with_shortcuts.buckets):
+        assert targets is shared
+    layout = (block.rows, block.cols, block.start, block.red, block.row,
+              block.absorbing, block.absorbed_at, block.entry_at,
+              *(targets for _, _, targets in block.buckets))
+    for arr in layout:
+        assert not arr.flags.writeable
 
 
 def test_augmented_view_leaves_the_base_untouched():

@@ -3,6 +3,7 @@
 import pytest
 
 from hitmin import (
+    BipartiteInstance,
     EstimatorConfig,
     InstanceTooLarge,
     InvalidParameter,
@@ -182,6 +183,17 @@ def test_greedy_plus_guarantee_needs_the_estimators_epsilon():
     cfg = EstimatorConfig(epsilon=0.9, guarantee=True)
     with pytest.raises(InvalidParameter, match="estimator's epsilon"):
         greedy_plus(graph, 2, epsilon=0.1, estimator_config=cfg, cap_at_k=False)
+
+
+def test_greedy_plus_rejects_an_override_without_an_estimate():
+    # complete bipartite 3/3: no red node can take a shortcut, so the run
+    # makes no estimate, and the config's override is refused all the same
+    graph = BipartiteInstance(6, [(r, 3 + b) for r in range(3) for b in range(3)],
+                              [True] * 3 + [False] * 3)
+    assert candidate_endpoints(graph) == []
+    with pytest.raises(InvalidParameter, match="spectral_bound"):
+        greedy_plus(graph, 1, epsilon=0.25, estimator_config=EstimatorConfig(
+            epsilon=0.25, guarantee=True, spectral_bound=0.9))
 
 
 def test_greedy_plus_deterministic_and_correct(path5):
