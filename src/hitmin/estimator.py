@@ -28,11 +28,14 @@ What no shortcut changes is built once per instance, on its first estimate,
 and read by every later one: the red block's layout (``graph._RedBlock``,
 O(red slots) read-only numbers), which holds the block's entries, the
 power iteration's start vector, and the count table's rows, bucket widths,
-targets and the cell of every probability.  Each estimate computes the red
-degrees with the shortcuts added, ``degrees + shortcut_counts(...)``, from
-which its count table fills its probabilities and the spectral radius its
-matrix values.  The bounded-step expectation reads the block from
-``exact._chain``, with the shortcuts added to the red degrees.
+targets and the cell of every probability.  The layout takes the entries
+from the instance's red chain (``BipartiteInstance._red_chain``), the CSR
+adjacency of the red block that every exact solve of the red set reads
+too, so an instance builds its red block once.  Each estimate computes the
+red degrees with the shortcuts added, ``degrees + shortcut_counts(...)``,
+from which its count table fills its probabilities and the spectral radius
+its matrix values.  The bounded-step expectation reads the red chain's
+adjacency and divides by those degrees.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidParameter
-from .exact import _chain
+from .exact import _chain_to_blue
 from .graph import augmented_view, shortcut_counts
 
 __all__ = [
@@ -131,13 +134,14 @@ def spectral_radius(instance, shortcuts=None) -> float:
     below 1; weak chaining to the blue group keeps the true value strictly
     below 1 on valid instances.
     """
+    degrees = instance.degrees + shortcut_counts(instance, shortcuts)
     block = instance._red_block
     rows, cols = block.rows, block.cols
     if not rows.size:
         return 0.0
     reds = instance.red_ids
     r = reds.size
-    d = (instance.degrees + shortcut_counts(instance, shortcuts))[reds].astype(float)
+    d = degrees[reds].astype(float)
     inv_sqrt = 1.0 / np.sqrt(d)
     vals = inv_sqrt[rows] * inv_sqrt[cols]
 
@@ -470,18 +474,20 @@ def expected_bounded_steps(instance, shortcuts=None, length: int = 1) -> np.ndar
     The bounded walk records min(T, length) where T is the true absorption
     step count, so its expectation is the sum of the first ``length``
     survival probabilities.  Those come from repeated sparse matvecs with
-    the red chain's adjacency (``exact._chain``), each divided by the
-    degrees; no sampling is involved.  This is the quantity the walk
-    estimator is unbiased for, and it never exceeds the exact hitting time.
+    the red chain's adjacency, built once per instance and shared with the
+    exact solves (``exact._chain_to_blue``), each divided by the degrees
+    with the shortcuts added, computed per call; no sampling is involved.
+    This is the quantity the walk estimator is unbiased for, and it never
+    exceeds the exact hitting time.
     Shortcuts only add to the red degrees, so no count table is built.
     """
     if length < 0:
         raise InvalidParameter(f"length must be >= 0, got {length}")
-    adjacency, d = _chain(instance, instance.red_ids,
-                          instance.degrees + shortcut_counts(instance, shortcuts))
+    block, d = _chain_to_blue(instance,
+                              instance.degrees + shortcut_counts(instance, shortcuts))
     survive = np.ones(d.size)
     total = np.zeros(d.size)
     for _ in range(length):
         total += survive
-        survive = adjacency @ survive / d
+        survive = block.adjacency @ survive / d
     return total

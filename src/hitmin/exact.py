@@ -11,12 +11,20 @@ block with row r scaled by 1/(d_r + c_r), where c_r counts r's shortcuts.
 Exact solves therefore build no overlay; they read
 ``graph.shortcut_counts`` and solve on the graph's own CSR arrays.
 
-Every solve builds its block once, in ``_chain``: the CSR adjacency A of
-the block induced on the transient set, from the graph's CSR slices
-(``graph.block_entries``) with no loop over nodes, and the float degrees d.
-Every solution, on every path and in every quasi-metric column, meets one
-residual, ``_residual``: b - (I - Q) h = b - h + A h / d, and one gate,
-``_passes``: max |residual| <= ``RESIDUAL_TOL`` per column, which NaN fails.
+A chain is a ``_Block``, the CSR adjacency A of the block induced on the
+transient set, from the graph's CSR slices (``graph.block_entries``) with
+no loop over nodes, plus the float degrees d.  No shortcut changes the
+block, so the red set's is built once per instance, on its first exact
+solve or estimate (``BipartiteInstance._red_chain``, read-only), and read
+by every solve of the red set: ``hitting_to_blue``, ``_shortcut_means`` and
+the estimator's bounded-step expectation (``_chain_to_blue``).  Each solve
+still computes its degrees, ``degrees + shortcut_counts(...)``, and from
+them its CG run or its factor; no solution or failure is kept.  Every other
+transient set, a target's or the quasi-metric's grounded one, gets its
+block per call from ``_chain``.  Every solution, on every path and in every
+quasi-metric column, meets one residual, ``_residual``:
+b - (I - Q) h = b - h + A h / d, and one gate, ``_passes``:
+max |residual| <= ``RESIDUAL_TOL`` per column, which NaN fails.
 
 Multiplying row v by d_v gives the symmetric positive definite form
 (D - A) h = d.  A block of at least ``CG_MIN_NODES`` unknowns whose induced
@@ -33,12 +41,13 @@ cycles, by sparse LU for every other block, near-forests of any size
 included.  A direct solution may take one refinement pass with the same
 factor before the gate; a failure names the path and the size.  The
 quasi-metric and the exact greedy's candidate scores (``_shortcut_means``)
-share the chain build and the factor.
+share the chain and the factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -125,21 +134,48 @@ def _has_many_cycles(adjacency):
     return excess + components > DENSE_MIN_CYCLE_SHARE * m
 
 
+class _Block:
+    """The part of an absorbing chain that no shortcut changes.
+
+    ``adjacency`` is the CSR adjacency of the block induced on a transient
+    node set, rows in the order of the nodes, its arrays read-only, from
+    one ``block_entries`` call.  ``cyclic``, computed on first use, is
+    ``_has_many_cycles``'s answer for it.  The red set's block is built
+    once per instance (``BipartiteInstance._red_chain``); every other set's
+    per call, by ``_chain``.
+    """
+
+    def __init__(self, graph, nodes):
+        rows, cols = block_entries(graph, nodes)
+        m = nodes.size
+        self.adjacency = scipy.sparse.csr_matrix(
+            (np.ones(rows.size), cols, np.searchsorted(rows, np.arange(m + 1))),
+            shape=(m, m))
+        for arr in (self.adjacency.data, self.adjacency.indices,
+                    self.adjacency.indptr):
+            arr.setflags(write=False)
+
+    @cached_property
+    def cyclic(self) -> bool:
+        return _has_many_cycles(self.adjacency)
+
+
 def _chain(graph, nodes, degrees):
-    """The absorbing chain on ``nodes``: the CSR adjacency of the block they
-    induce, rows in the order of ``nodes``, and their ``degrees`` as floats.
-    Row v of I - Q is e_v minus row v of the adjacency divided by d_v."""
-    rows, cols = block_entries(graph, nodes)
-    m = nodes.size
-    adjacency = scipy.sparse.csr_matrix(
-        (np.ones(rows.size), cols, np.searchsorted(rows, np.arange(m + 1))),
-        shape=(m, m))
-    return adjacency, degrees[nodes].astype(float)
+    """The absorbing chain on ``nodes``: the ``_Block`` they induce and their
+    ``degrees`` as floats.  Row v of I - Q is e_v minus row v of the block's
+    adjacency divided by d_v."""
+    return _Block(graph, nodes), degrees[nodes].astype(float)
 
 
-def _residual(adjacency, d, h, b):
+def _chain_to_blue(instance, degrees):
+    """The absorbing chain on the red set, which the blue group absorbs: the
+    instance's one red ``_Block`` and the red ``degrees`` as floats."""
+    return instance._red_chain, degrees[instance.red_ids].astype(float)
+
+
+def _residual(block, d, h, b):
     """b - (I - Q) h = b - h + A h / d, for one column h or a block."""
-    walked = adjacency @ h
+    walked = block.adjacency @ h
     return b - h + (walked / d if h.ndim == 1 else walked / d[:, None])
 
 
@@ -149,8 +185,8 @@ def _passes(residual):
     return np.abs(residual).max(axis=0) <= RESIDUAL_TOL
 
 
-def _factored(adjacency, d, dense_limit):
-    """Build I - Q from the chain's adjacency and degrees and factor it.
+def _factored(block, d, dense_limit):
+    """Build I - Q from the chain's block and degrees and factor it.
 
     Returns (solve, path): the factor's solve and "dense LU" or "sparse LU".
     Dense LU when the block has at most ``dense_limit`` unknowns and its
@@ -158,11 +194,11 @@ def _factored(adjacency, d, dense_limit):
     otherwise, which on a near-forest fills in almost nothing.
     """
     m = d.size
-    rows = np.repeat(np.arange(m), np.diff(adjacency.indptr))
-    cols = adjacency.indices
+    rows = np.repeat(np.arange(m), np.diff(block.adjacency.indptr))
+    cols = block.adjacency.indices
     weights = (1.0 / d)[rows]
 
-    if m <= dense_limit and _has_many_cycles(adjacency):
+    if m <= dense_limit and block.cyclic:
         # Fortran order lets lu_factor work in place; it copies a C-ordered
         # array
         dense = np.eye(m, order="F")
@@ -183,9 +219,10 @@ def _factored(adjacency, d, dense_limit):
     return factor.solve, "sparse LU"
 
 
-def _cg_times(adjacency, d):
-    """Jacobi-preconditioned CG on (D - A) h = d for the chain's adjacency
-    and degrees.  Returns h when it passes the residual gate, else None."""
+def _cg_times(block, d):
+    """Jacobi-preconditioned CG on (D - A) h = d for the chain's block and
+    degrees.  Returns h when it passes the residual gate, else None."""
+    adjacency = block.adjacency
     h = np.zeros(d.size)
     r = d.copy()
     z = r / d
@@ -201,29 +238,28 @@ def _cg_times(adjacency, d):
             break
         rz, previous = (r * z).sum(), rz
         p = z + (rz / previous) * p
-    return h if _passes(_residual(adjacency, d, h, 1.0)) else None
+    return h if _passes(_residual(block, d, h, 1.0)) else None
 
 
-def _transient_times(graph, transient, dense_limit, degrees=None):
-    """Solve (I - Q) h = 1 over the given transient node set: by CG on a
-    large cycle-rich block, else, or when CG misses the gate, directly."""
-    adjacency, d = _chain(graph, transient,
-                          graph.degrees if degrees is None else degrees)
-    if transient.size >= CG_MIN_NODES and _has_many_cycles(adjacency):
-        h = _cg_times(adjacency, d)
+def _transient_times(block, d, dense_limit):
+    """Solve (I - Q) h = 1 on the chain of ``block`` and degrees ``d``: by CG
+    on a large cycle-rich block, else, or when CG misses the gate,
+    directly."""
+    if d.size >= CG_MIN_NODES and block.cyclic:
+        h = _cg_times(block, d)
         if h is not None:
             return h
-    solve, path = _factored(adjacency, d, dense_limit)
-    b = np.ones(transient.size)
+    solve, path = _factored(block, d, dense_limit)
+    b = np.ones(d.size)
     h = solve(b)
-    residual = _residual(adjacency, d, h, b)
+    residual = _residual(block, d, h, b)
     if not _passes(residual):
         h = h + solve(residual)
-        residual = _residual(adjacency, d, h, b)
+        residual = _residual(block, d, h, b)
         if not _passes(residual):
             raise SolverFailure(
                 f"residual {np.abs(residual).max():.3e} exceeds {RESIDUAL_TOL} "
-                f"after refinement ({path}, {transient.size} unknowns)"
+                f"after refinement ({path}, {d.size} unknowns)"
             )
     return h
 
@@ -256,8 +292,8 @@ def _shortcut_means(instance, shortcuts, candidates):
     """
     reds = instance.red_ids
     degrees = instance.degrees + shortcut_counts(instance, shortcuts)
-    adjacency, d = _chain(instance, reds, degrees)
-    solve, _ = _factored(adjacency, d, DENSE_NODE_LIMIT)
+    block, d = _chain_to_blue(instance, degrees)
+    solve, _ = _factored(block, d, DENSE_NODE_LIMIT)
     h, s = solve(np.column_stack((np.ones(reds.size), 1.0 / d))).T
     pos = np.searchsorted(reds, candidates)
     diagonal = _inverse_diagonal(solve, reds.size)[pos]
@@ -277,7 +313,7 @@ def hitting_to_blue(instance, shortcuts=None, dense_limit=DENSE_NODE_LIMIT) -> H
     """
     reds = instance.red_ids
     degrees = instance.degrees + shortcut_counts(instance, shortcuts)
-    h = _transient_times(instance, reds, dense_limit, degrees)
+    h = _transient_times(*_chain_to_blue(instance, degrees), dense_limit)
     mean_time, max_time = float(h.mean()), float(h.max())
 
     n_cubed = float(instance.n) ** 3
@@ -315,15 +351,14 @@ def hitting_to_target(instance, target, dense_limit=DENSE_NODE_LIMIT) -> np.ndar
     transient = np.flatnonzero(~absorbing)
     out = np.zeros(instance.n)
     if transient.size:
-        out[transient] = _transient_times(instance, transient, dense_limit)
+        out[transient] = _transient_times(
+            *_chain(instance, transient, instance.degrees), dense_limit)
     return out
 
 
 def evaluate(instance, shortcuts=None, objective="avg") -> float:
     """Exact objective value of a shortcut multiset: "avg" or "max"."""
+    if objective not in ("avg", "max"):
+        raise InvalidParameter(f"objective must be 'avg' or 'max', got {objective!r}")
     profile = hitting_to_blue(instance, shortcuts)
-    if objective == "avg":
-        return profile.mean_time
-    if objective == "max":
-        return profile.max_time
-    raise InvalidParameter(f"objective must be 'avg' or 'max', got {objective!r}")
+    return profile.mean_time if objective == "avg" else profile.max_time

@@ -17,8 +17,9 @@ spectral radius and the bounded-step expectation take them as
 table of the red rows, each row the probabilities of a step to each red
 neighbour and of absorption, blue neighbours and shortcuts together.  Its
 layout, and the red block's entries the spectral radius reads, come from
-the instance's ``_RedBlock``, built once from the base CSR; a view fills
-only the probabilities from the counts.
+the instance's ``_RedBlock``, built once from the instance's red chain, the
+red block's CSR adjacency that the exact solves read too; a view fills only
+the probabilities from the counts.
 """
 
 from __future__ import annotations
@@ -60,10 +61,14 @@ class BipartiteInstance:
     instances leave it unset and fall back to the decimal index.
     Instances are immutable after construction; the adjacency lives in the
     read-only CSR arrays ``indptr`` and ``indices``, each row ascending.
-    The one thing added later is ``_red_block``, the red block's layout,
-    O(red slots) read-only arrays that no shortcut changes: the estimator's
-    first count table or spectral radius on the instance builds it, and
-    every later one reads it.
+    Two things are added later, each built on first use, read-only and
+    unchanged by any shortcut.  ``_red_chain`` is the red block's CSR
+    adjacency (``exact._Block``, O(red slots)), read by every exact solve of
+    the red set, by the estimator's bounded-step expectation and by
+    ``_red_block``; each solve still computes its own degrees and its own
+    CG run or factor.  ``_red_block`` is the count table's layout, O(red
+    slots) arrays that the estimator's first count table or spectral radius
+    builds and every later one reads; exact solves never build it.
     ``capacity[v]`` is how many shortcuts node v can still take.
     ``edges`` is an (m, 2) integer array or an iterable of (u, v) pairs; an
     array is used as it is, without a round trip through Python tuples.
@@ -148,6 +153,14 @@ class BipartiteInstance:
             raise DisconnectedGraph(
                 f"graph has {n - reached} node(s) unreachable from node 0"
             )
+
+    @cached_property
+    def _red_chain(self):
+        # imported here: exact, which builds every chain block, imports this
+        # module
+        from .exact import _Block
+
+        return _Block(self, self.red_ids)
 
     @cached_property
     def _red_block(self) -> "_RedBlock":
@@ -291,9 +304,11 @@ class _RedBlock:
     """The parts of an instance's red block that no shortcut changes, built
     on first use (``BipartiteInstance._red_block``) and read-only.
 
-    ``rows`` and ``cols`` are the red block's entries (``block_entries`` on
-    ``red_ids``), and ``start``, drawn on its own first use, the unit start
-    vector of the power iteration in ``estimator.spectral_radius``.  The
+    ``rows`` and ``cols`` are the red block's entries, read from the
+    adjacency of the instance's red chain (``BipartiteInstance._red_chain``),
+    so the red block is built once per instance.  ``start``, drawn on its
+    own first use, is the unit start vector of the power iteration in
+    ``estimator.spectral_radius``.  The
     rest lays out the count table (``AugmentedView``) as one flat run of
     ``cells`` numbers, bucket after bucket, row after row: ``red`` holds
     each red node's red-neighbour count and ``row`` its table row;
@@ -306,7 +321,11 @@ class _RedBlock:
 
     def __init__(self, graph):
         reds = graph.red_ids
-        rows, cols = block_entries(graph, reds)
+        adjacency = graph._red_chain.adjacency
+        rows = np.repeat(np.arange(reds.size), np.diff(adjacency.indptr))
+        # scipy may store the indices narrower; the power iteration indexes
+        # with them every step, and a narrower index is cast on every use
+        cols = adjacency.indices.astype(np.intp)
         red = np.bincount(rows, minlength=reds.size)
         # 2**bit_length(r), the least power of two above r, and at least 8
         # so that small rows share one multinomial call; 0 without a red

@@ -8,6 +8,7 @@ import pytest
 
 from hitmin import (
     BipartiteInstance,
+    CapacityExceeded,
     EstimatorConfig,
     InvalidParameter,
     ShortcutSet,
@@ -67,6 +68,13 @@ def test_spectral_radius_paths(path3, path5):
 
 def test_spectral_radius_no_red_red_edges():
     assert spectral_radius(complete_bipartite(2, 2)) == 0.0
+    # no red block to iterate on, but the shortcuts are still checked against
+    # the rule: a blue endpoint, and a red one with no free blue slot
+    graph = complete_bipartite(3, 3)
+    with pytest.raises(InvalidParameter, match="endpoint 5 is not a red node"):
+        spectral_radius(graph, (5,))
+    with pytest.raises(CapacityExceeded, match="endpoint 0 has 0 free blue slot"):
+        spectral_radius(graph, (0,))
 
 
 def _with_real_edges(instance, shortcuts):

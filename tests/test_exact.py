@@ -8,19 +8,23 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+import hitmin.graph
 from hitmin import (
     BipartiteInstance,
     InvalidParameter,
     ShortcutSet,
     SolverFailure,
+    augmented_view,
     build_quasi_metric,
     candidate_endpoints,
     evaluate,
+    expected_bounded_steps,
     gen_lollipop,
     gen_path,
     gen_planted_two_community,
     hitting_to_blue,
     hitting_to_target,
+    spectral_radius,
 )
 from hitmin import exact
 from hitmin.exact import CG_MIN_NODES, DENSE_NODE_LIMIT, _transient_times
@@ -74,11 +78,19 @@ def test_pair_shortcut_profile(path5):
     assert evaluate(path5, ShortcutSet((0, 4)), objective="max") == pytest.approx(2.0, abs=1e-9)
 
 
-def test_evaluate_objectives(path5):
+def test_evaluate_objectives(path5, monkeypatch):
     assert evaluate(path5, objective="avg") == pytest.approx(3.5, abs=1e-9)
     assert evaluate(path5, objective="max") == pytest.approx(4.0, abs=1e-9)
     with pytest.raises(InvalidParameter):
         evaluate(path5, objective="median")
+
+    # the objective is checked before any solve: this lollipop's solve
+    # without shortcuts fails the residual gate
+    def no_solve(*args, **kwargs):
+        raise AssertionError("evaluate solved before checking its objective")
+    monkeypatch.setattr(exact, "hitting_to_blue", no_solve)
+    with pytest.raises(InvalidParameter, match="got 'bogus'"):
+        evaluate(gen_lollipop(4000, 30), None, "bogus")
 
 
 def test_augmentation_matches_manual_instance(path5):
@@ -164,13 +176,13 @@ def test_transient_matrix_matches_row_loop(monkeypatch):
     for transient in (graph.red_ids, np.delete(np.arange(graph.n), r)):
         for dense_limit in (DENSE_NODE_LIMIT, 0):
             seen.clear()
-            _transient_times(graph, transient, dense_limit)
+            _transient_times(*exact._chain(graph, transient, graph.degrees), dense_limit)
             np.testing.assert_array_equal(seen[0], _loop_matrix(graph, transient))
     # the counts form of the same red block, on the base graph
     degrees = inst.degrees + shortcut_counts(inst, (r, r))
     for dense_limit in (DENSE_NODE_LIMIT, 0):
         seen.clear()
-        _transient_times(inst, inst.red_ids, dense_limit, degrees)
+        _transient_times(*exact._chain_to_blue(inst, degrees), dense_limit)
         np.testing.assert_array_equal(seen[0], _loop_matrix(graph, graph.red_ids))
 
 
@@ -319,13 +331,17 @@ def test_nan_solutions_fail_the_gate(monkeypatch, dense_limit, path):
         build_quasi_metric(inst, dense_limit=dense_limit)
 
 
-@pytest.mark.parametrize("make, dense_limit, factors", [
+# one case per solver path of a red block
+_PATH_CASES = pytest.mark.parametrize("make, dense_limit, factors", [
     (lambda: gen_planted_two_community(CG_MIN_NODES, 500, 0.05, 0.01, 5),
      DENSE_NODE_LIMIT, []),
     (lambda: gen_planted_two_community(200, 200, 0.1, 0.01, 1),
      DENSE_NODE_LIMIT, [("dense", 200)]),
     (lambda: gen_lollipop(50, 20), 0, [("sparse", 69)]),
 ], ids=["CG", "dense LU", "sparse LU"])
+
+
+@_PATH_CASES
 def test_gate_rejects_a_perturbed_solution(monkeypatch, make, dense_limit, factors):
     seen = _record_factors(monkeypatch)
     inst = make()
@@ -336,6 +352,80 @@ def test_gate_rejects_a_perturbed_solution(monkeypatch, make, dense_limit, facto
     # (I - Q) h = 1 makes the residual of c h equal 1 - c in every row, up to
     # rounding
     assert not exact._passes(exact._residual(*chain, h * (1 + 1e-7), 1.0))
+
+
+@_PATH_CASES
+def test_warm_instance_solves_to_the_bits_of_a_fresh_one(monkeypatch, make,
+                                                         dense_limit, factors):
+    # every solve after the first reads the instance's red block; each still
+    # takes its own path and factor, and its times are, bit for bit, those
+    # a freshly built equal instance gives
+    seen = _record_factors(monkeypatch)
+    warm = make()
+    shortcuts = ShortcutSet(candidate_endpoints(warm)[-4:])
+    for _ in range(2):
+        for multiset in (None, shortcuts):
+            hitting_to_blue(warm, multiset, dense_limit)
+    assert seen == 4 * factors
+    for multiset in (None, shortcuts):
+        seen.clear()
+        cold = hitting_to_blue(make(), multiset, dense_limit).times
+        assert hitting_to_blue(warm, multiset, dense_limit).times.tobytes() == cold.tobytes()
+        assert seen == 2 * factors
+
+
+def _count_blocks(monkeypatch):
+    # the size of every node set that an induced block is built on
+    sizes = []
+    entries = hitmin.graph.block_entries
+
+    def counting(graph, nodes):
+        sizes.append(nodes.size)
+        return entries(graph, nodes)
+
+    monkeypatch.setattr(exact, "block_entries", counting)
+    monkeypatch.setattr(hitmin.graph, "block_entries", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("estimator_first", [False, True])
+def test_one_red_block_per_instance(monkeypatch, estimator_first):
+    sizes = _count_blocks(monkeypatch)
+    inst = gen_planted_two_community(30, 20, 0.3, 0.1, 5)
+    shortcuts = ShortcutSet(candidate_endpoints(inst)[:3])
+    exact_calls = [
+        lambda: hitting_to_blue(inst),
+        lambda: hitting_to_blue(inst, shortcuts),
+        lambda: exact._shortcut_means(inst, shortcuts, candidate_endpoints(inst, shortcuts)),
+        lambda: expected_bounded_steps(inst, shortcuts, 5),
+    ]
+    estimator_calls = [lambda: augmented_view(inst, shortcuts),
+                       lambda: spectral_radius(inst, shortcuts)]
+    first, then = ((estimator_calls, exact_calls) if estimator_first
+                   else (exact_calls, estimator_calls))
+    for call in first:
+        call()
+    # exact solves alone build no count-table layout
+    assert estimator_first or "_red_block" not in vars(inst)
+    for call in then:
+        call()
+    assert sizes == [inst.red_count]
+    # the layout reads its entries from the red block, and both are read-only
+    adjacency = inst._red_chain.adjacency
+    np.testing.assert_array_equal(inst._red_block.cols, adjacency.indices)
+    for arr in (adjacency.data, adjacency.indices, adjacency.indptr,
+                inst._red_block.rows, inst._red_block.cols):
+        assert not arr.flags.writeable
+
+    # every other transient set builds its own block on every call
+    sizes.clear()
+    hitting_to_target(inst, 0)
+    hitting_to_target(inst, 0)
+    assert sizes == [inst.n - 1, inst.n - 1]
+    sizes.clear()
+    assert build_quasi_metric(inst).fallback_columns == 0
+    # the whole graph's chain for the gate, then the grounded one
+    assert sizes == [inst.n, inst.n - 1]
 
 
 @pytest.mark.parametrize("dense_limit", [DENSE_NODE_LIMIT, 0])
