@@ -27,21 +27,27 @@ b - (I - Q) h = b - h + A h / d, and one gate, ``_passes``:
 max |residual| <= ``RESIDUAL_TOL`` per column, which NaN fails.
 
 Multiplying row v by d_v gives the symmetric positive definite form
-(D - A) h = d.  A block of at least ``CG_MIN_NODES`` unknowns whose induced
-graph has many independent cycles is solved by conjugate gradients on that
-form (Hestenes and Stiefel, 1952), preconditioned by D, until
-max |r / d| <= ``CG_TOL`` or for ``CG_MAX_ITERATIONS`` steps; its residual
-is then recomputed and gated.  Every reduction is a NumPy sum and every
-product a serial sparse one, so the bits do not depend on the BLAS thread
-count.  A miss, as on lollipops, whose hitting times reach 1e5 and more,
-falls through to the direct path: ``_factored`` builds I - Q from the chain
-and factors it, by dense LU (built in Fortran order and factored in place)
-for a block of at most ``dense_limit`` unknowns with many independent
-cycles, by sparse LU for every other block, near-forests of any size
-included.  A direct solution may take one refinement pass with the same
-factor before the gate; a failure names the path and the size.  The
-quasi-metric and the exact greedy's candidate scores (``_shortcut_means``)
-share the chain and the factor.
+(D - A) h = d.  A block is cycle-rich (``_Block.cyclic``) when its cycle
+rank exceeds ``DENSE_MIN_CYCLE_SHARE`` of its m unknowns and, past
+4 ``DENSE_MIN_KERNEL`` unknowns, its kernel, the nodes of degree at least 3
+left once leaves are peeled, holds at least m / 4: eliminating the peeled
+trees and chains makes no fill, so the kernel is where fill can spread.  A
+cycle-rich block of at least ``CG_MIN_NODES`` unknowns is solved by
+conjugate gradients on the symmetric form (Hestenes and Stiefel, 1952),
+preconditioned by D, until max |r / d| <= ``CG_TOL`` or for
+``CG_MAX_ITERATIONS`` steps; its residual is then recomputed and gated.
+Every reduction is a NumPy sum and every product a serial sparse one, so
+the bits do not depend on the BLAS thread count.  A miss, as on
+clique-heavy lollipops, whose hitting times reach 1e5 and more, falls
+through to the direct path: ``_factored`` builds I - Q from the chain and
+factors it, by dense LU (built in Fortran order and factored in place) for
+a cycle-rich block of at most ``dense_limit`` unknowns, by sparse LU for
+every other block, near-forests and blocks whose cycles crowd into a small
+kernel included, on the block's CSC pattern (``_Block.pattern``), built
+once and filled with each solve's -1/d.  A direct solution may take one
+refinement pass with the same factor before the gate; a failure names the
+path and the size.  The quasi-metric and the exact greedy's candidate
+scores (``_shortcut_means``) share the chain and the factor.
 """
 
 from __future__ import annotations
@@ -79,6 +85,21 @@ DENSE_NODE_LIMIT = 4000
 # Dense won only at c of about 2.4 m (a random block of degree ~6), so m/8
 # leaves a wide margin.
 DENSE_MIN_CYCLE_SHARE = 1 / 8
+# The rank counts cycles wherever they lie, but fill spreads only through
+# the kernel, the 2-core's nodes of degree at least 3 (``_kernel_size``):
+# dense LU also needs kappa, counted as at least this, to reach a quarter of
+# the m unknowns, so every block of at most 152 keeps the rank's answer,
+# where splu's fixed cost of about 0.1 ms loses.  One solve (2 vCPUs, one
+# BLAS thread; dense against sparse LU, ms; kappa / m in brackets):
+#   lollipop(100,20)  [0.17]  0.12 against 0.17
+#   lollipop(200,20)  [0.09]  0.38 against 0.19
+#   lollipop(400,30)  [0.07]  1.92 against 0.31
+#   lollipop(400,100) [0.20]  3.09 against 0.90
+#   lollipop(1000,60) [0.06]  21.2 against 0.71
+#   lollipop(200,100) [0.33]  1.05 against 1.11
+#   lollipop(100,100) [0.50]  0.35 against 0.89
+#   planted 200 / 500 / 1000 red [1.0]  0.46 / 4.3 / 22 against 2.6 / 12 / 64
+DENSE_MIN_KERNEL = 38
 RESIDUAL_TOL = 1e-9
 # A cycle-rich block of at least this many unknowns tries conjugate
 # gradients before the direct path.  One solve on planted graphs (2 vCPUs,
@@ -88,8 +109,9 @@ RESIDUAL_TOL = 1e-9
 CG_MIN_NODES = 500
 # CG stops once max |r / d| = max |1 - (I - Q) h| of its running residual is
 # this small, three orders inside RESIDUAL_TOL, or after the cap.  Planted
-# graphs stop within 10 to 16 steps; a lollipop reaches the cap in a few
-# milliseconds and goes to the direct path.
+# graphs stop within 10 to 16 steps; a lollipop whose clique holds a quarter
+# of its nodes reaches the cap in a few milliseconds and goes to the direct
+# path.
 CG_TOL = 1e-12
 CG_MAX_ITERATIONS = 100
 # Right-hand sides solved together when many columns of one factor are
@@ -134,15 +156,47 @@ def _has_many_cycles(adjacency):
     return excess + components > DENSE_MIN_CYCLE_SHARE * m
 
 
+def _kernel_size(adjacency):
+    """kappa, the size of the block's kernel: the nodes of degree at least 3 that are
+    left once nodes of degree at most 1 are peeled until none is.
+
+    What is left is the 2-core, and eliminating the peeled nodes first
+    makes no fill.  Peeling a node of degree 1 drops one node and one edge,
+    and one of degree 0 one node and one component, so the core keeps the
+    block's cycle rank c = E - m + (components).  On the core, of m' nodes,
+    E' edges and p' components, every degree is at least 2, so
+
+        sum (degree - 2) = 2 E' - 2 m' = 2 (c - p'),
+
+    and each kernel node adds at least 1: kappa <= 2 (c - p') <= 2 c.  So
+    kappa >= m / 4 implies c > m / 8: the kernel test is never met where
+    ``_has_many_cycles`` fails.  A work stack peels each node once and
+    reads each of its edges once, O(m + edges removed).
+    """
+    indptr, indices = adjacency.indptr.tolist(), adjacency.indices
+    left = np.diff(adjacency.indptr).tolist()
+    stack = [v for v, degree in enumerate(left) if degree <= 1]
+    while stack:
+        v = stack.pop()
+        left[v] = 0
+        for u in indices[indptr[v]:indptr[v + 1]].tolist():
+            if left[u] > 0:
+                left[u] -= 1
+                if left[u] == 1:
+                    stack.append(u)
+    return int(np.count_nonzero(np.array(left) >= 3))
+
+
 class _Block:
     """The part of an absorbing chain that no shortcut changes.
 
     ``adjacency`` is the CSR adjacency of the block induced on a transient
     node set, rows in the order of the nodes, its arrays read-only, from
-    one ``block_entries`` call.  ``cyclic``, computed on first use, is
-    ``_has_many_cycles``'s answer for it.  The red set's block is built
-    once per instance (``BipartiteInstance._red_chain``); every other set's
-    per call, by ``_chain``.
+    one ``block_entries`` call.  Two parts are computed on first use and
+    kept: ``cyclic``, the flag that sends the block to CG and dense LU, and
+    ``pattern``, the sparse path's CSC pattern of I - Q.  The red set's
+    block is built once per instance (``BipartiteInstance._red_chain``);
+    every other set's per call, by ``_chain``.
     """
 
     def __init__(self, graph, nodes):
@@ -157,7 +211,35 @@ class _Block:
 
     @cached_property
     def cyclic(self) -> bool:
-        return _has_many_cycles(self.adjacency)
+        """Whether fill can spread through the block: it passes
+        ``_has_many_cycles`` and 4 max(kappa, ``DENSE_MIN_KERNEL``) >= m,
+        kappa its ``_kernel_size``.  A block of at most 4
+        ``DENSE_MIN_KERNEL`` unknowns needs no peeling."""
+        m = self.adjacency.shape[0]
+        return _has_many_cycles(self.adjacency) and (
+            m <= 4 * DENSE_MIN_KERNEL or 4 * _kernel_size(self.adjacency) >= m)
+
+    @cached_property
+    def pattern(self):
+        """(indptr, indices, diagonal), the CSC pattern of I - Q, read-only.
+
+        The adjacency is symmetric, so column u holds -1/d_v at the rows of
+        u's neighbours v and 1 at row u, which ``diagonal`` marks.  Rows
+        ascend within each column, the canonical form ``splu`` reads
+        without re-sorting.
+        """
+        adjacency = self.adjacency
+        m = adjacency.shape[0]
+        cols = np.concatenate((np.repeat(np.arange(m), np.diff(adjacency.indptr)),
+                               np.arange(m)))
+        rows = np.concatenate((adjacency.indices, np.arange(m)))
+        order = np.lexsort((rows, cols))
+        indices = rows[order].astype(adjacency.indices.dtype)
+        diagonal = indices == cols[order]
+        indptr = (adjacency.indptr + np.arange(m + 1)).astype(adjacency.indptr.dtype)
+        for arr in (indptr, indices, diagonal):
+            arr.setflags(write=False)
+        return indptr, indices, diagonal
 
 
 def _chain(graph, nodes, degrees):
@@ -189,29 +271,25 @@ def _factored(block, d, dense_limit):
     """Build I - Q from the chain's block and degrees and factor it.
 
     Returns (solve, path): the factor's solve and "dense LU" or "sparse LU".
-    Dense LU when the block has at most ``dense_limit`` unknowns and its
-    cycle rank exceeds ``DENSE_MIN_CYCLE_SHARE`` of them; sparse LU
-    otherwise, which on a near-forest fills in almost nothing.
+    Dense LU when the block has at most ``dense_limit`` unknowns and is
+    ``cyclic``, its cycles spread over a kernel of at least a quarter of
+    them; sparse LU otherwise, whose fill stays in the kernel: the block's
+    cached ``pattern`` filled with this solve's -1/d.
     """
     m = d.size
-    rows = np.repeat(np.arange(m), np.diff(block.adjacency.indptr))
-    cols = block.adjacency.indices
-    weights = (1.0 / d)[rows]
-
     if m <= dense_limit and block.cyclic:
+        rows = np.repeat(np.arange(m), np.diff(block.adjacency.indptr))
         # Fortran order lets lu_factor work in place; it copies a C-ordered
         # array
         dense = np.eye(m, order="F")
-        dense[rows, cols] = -weights
+        dense[rows, block.adjacency.indices] = -(1.0 / d)[rows]
         lu = scipy.linalg.lu_factor(dense, overwrite_a=True)
         return (lambda rhs: scipy.linalg.lu_solve(lu, rhs)), "dense LU"
 
-    diag = np.arange(m)
-    A = scipy.sparse.csc_matrix(
-        (np.concatenate((np.ones(m), -weights)),
-         (np.concatenate((diag, rows)), np.concatenate((diag, cols)))),
-        shape=(m, m),
-    )
+    indptr, indices, diagonal = block.pattern
+    data = -(1.0 / d)[indices]
+    data[diagonal] = 1.0
+    A = scipy.sparse.csc_matrix((data, indices, indptr), shape=(m, m))
     try:
         factor = scipy.sparse.linalg.splu(A)
     except RuntimeError as exc:
@@ -336,16 +414,24 @@ def hitting_to_target(instance, target, dense_limit=DENSE_NODE_LIMIT) -> np.ndar
     """Exact expected hitting times from every node to a target node or set.
 
     ``target`` is one node id, or a collection of node ids that all absorb
-    the walk.  Returns an array of length n with H(u, target) at index u
-    and 0 at every target node.  ``dense_limit`` acts as in
+    the walk; a value that is not an integer raises InvalidParameter.
+    Returns an array of length n with H(u, target) at index u and 0 at
+    every target node.  ``dense_limit`` acts as in
     ``hitting_to_blue``: only on the direct path.
     """
-    targets = [int(target)] if np.ndim(target) == 0 else [int(t) for t in target]
+    targets = []
+    for t in [target] if np.ndim(target) == 0 else target:
+        try:
+            node = int(t)
+        except (TypeError, ValueError, OverflowError):
+            node = None
+        if node is None or node != t:
+            raise InvalidParameter(f"target {t!r} is not a node index")
+        if not 0 <= node < instance.n:
+            raise InvalidParameter(f"target {node} out of range")
+        targets.append(node)
     if not targets:
         raise InvalidParameter("target set is empty")
-    for t in targets:
-        if not 0 <= t < instance.n:
-            raise InvalidParameter(f"target {t} out of range")
     absorbing = np.zeros(instance.n, dtype=bool)
     absorbing[targets] = True
     transient = np.flatnonzero(~absorbing)

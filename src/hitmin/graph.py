@@ -63,7 +63,8 @@ class BipartiteInstance:
     read-only CSR arrays ``indptr`` and ``indices``, each row ascending.
     Two things are added later, each built on first use, read-only and
     unchanged by any shortcut.  ``_red_chain`` is the red block's CSR
-    adjacency (``exact._Block``, O(red slots)), read by every exact solve of
+    adjacency (``exact._Block``, O(red slots)), with its cycle-rich flag and
+    sparse pattern once a solve needs them, read by every exact solve of
     the red set, by the estimator's bounded-step expectation and by
     ``_red_block``; each solve still computes its own degrees and its own
     CG run or factor.  ``_red_block`` is the count table's layout, O(red

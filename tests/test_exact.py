@@ -67,6 +67,16 @@ def test_hitting_to_target_path5(path5):
         hitting_to_target(path5, [])
 
 
+def test_hitting_to_target_rejects_a_non_integral_target():
+    lollipop = gen_lollipop(5, 3)
+    for target in (2.7, [0, 2.5], "2", float("nan")):
+        with pytest.raises(InvalidParameter, match="is not a node index"):
+            hitting_to_target(lollipop, target)
+    # an integral float names its node
+    np.testing.assert_array_equal(hitting_to_target(lollipop, 2.0),
+                                  hitting_to_target(lollipop, 2))
+
+
 def test_single_shortcut_profile(path5):
     profile = hitting_to_blue(path5, ShortcutSet((0,)))
     np.testing.assert_allclose(profile.times, [2.0, 2.0, 3.0, 4.0], atol=1e-9)
@@ -206,6 +216,15 @@ def _tree_plus(m, extra, parts=1, seed=0):
     return BipartiteInstance(m + 1, edges, [v != 0 for v in range(m + 1)])
 
 
+def _grid(side):
+    # a side x side grid with one blue corner: all but a few red nodes lie in
+    # the kernel, and hitting times stay in the thousands
+    idx = np.arange(side * side).reshape(side, side)
+    edges = np.concatenate((np.column_stack((idx[:, :-1].ravel(), idx[:, 1:].ravel())),
+                            np.column_stack((idx[:-1].ravel(), idx[1:].ravel()))))
+    return BipartiteInstance(side * side, edges, np.arange(side * side) != 0)
+
+
 def _direct(monkeypatch, call):
     # the same call with the CG path switched off
     with monkeypatch.context() as patched:
@@ -226,9 +245,12 @@ def _record_factors(monkeypatch):
 
 
 def test_solver_path_is_picked_by_unknowns(monkeypatch):
-    # CG for a cycle-rich block of at least CG_MIN_NODES unknowns; else dense
-    # LU up to dense_limit unknowns, whatever the node count, and only for a
-    # block whose cycle rank exceeds an eighth of its unknowns
+    # a block is cycle-rich when its cycle rank exceeds an eighth of its m
+    # unknowns and, past 4 DENSE_MIN_KERNEL unknowns, its kernel (the 2-core's
+    # nodes of degree at least 3) holds at least a quarter of them; CG for a
+    # cycle-rich block of at least CG_MIN_NODES unknowns; else dense LU for a
+    # cycle-rich block of up to dense_limit unknowns, whatever the node
+    # count, and sparse LU for every other block
     inst = gen_planted_two_community(6, 8, 0.5, 0.2, 3)
     n, r = inst.n, inst.red_count
     seen = _record_factors(monkeypatch)
@@ -253,6 +275,12 @@ def test_solver_path_is_picked_by_unknowns(monkeypatch):
         # rank 6 only once the second component is counted
         (blue_times(_tree_plus(40, 6, parts=2)), {40: [("dense", 40)]}),
         (blue_times(_tree_plus(40, 5, parts=2)), {40: [("sparse", 40)]}),
+        # cycle-rich by rank, but its 406 cycles lie in a 30-node kernel
+        (blue_times(gen_lollipop(400, 30)), {DENSE_NODE_LIMIT: [("sparse", 429)]}),
+        # at most 4 DENSE_MIN_KERNEL unknowns the rank decides; past them a
+        # kernel of 100 is half the unknowns
+        (blue_times(gen_lollipop(50, 20)), {DENSE_NODE_LIMIT: [("dense", 69)]}),
+        (blue_times(gen_lollipop(100, 100)), {DENSE_NODE_LIMIT: [("dense", 199)]}),
         # cycle-rich planted blocks: CG from CG_MIN_NODES unknowns, whatever
         # dense_limit says, and dense LU one unknown below
         (blue_times(planted), {DENSE_NODE_LIMIT: [], 0: []}),
@@ -277,6 +305,16 @@ def test_solver_path_is_picked_by_unknowns(monkeypatch):
     np.testing.assert_allclose(hitting_to_blue(planted).times, direct,
                                rtol=1e-12, atol=0)
 
+    # the kernel test only ever overrules the cycle rank's yes
+    blocks = [_tree_plus(40, extra, parts) for extra in (5, 6) for parts in (1, 2)]
+    blocks += [gen_lollipop(p, c) for p, c in ((50, 20), (400, 30), (1000, 10),
+                                               (100, 100), (520, 30), (350, 200))]
+    blocks += [inst, planted, gen_planted_two_community(200, 200, 0.1, 0.01, 1)]
+    flags = [(exact._has_many_cycles(b._red_chain.adjacency), b._red_chain.cyclic)
+             for b in blocks]
+    assert (False, True) not in flags
+    assert (True, False) in flags and (True, True) in flags
+
 
 def test_cg_miss_falls_back_to_the_direct_path(monkeypatch):
     misses = []
@@ -288,18 +326,27 @@ def test_cg_miss_falls_back_to_the_direct_path(monkeypatch):
         return h
 
     monkeypatch.setattr(exact, "_cg_times", spy)
-    # 549 cycle-rich unknowns: CG reaches its cap, dense LU passes the gate
-    inst = gen_lollipop(520, 30)
+    seen = _record_factors(monkeypatch)
+    # 624 unknowns of a grid, nearly all in the kernel: CG reaches its cap,
+    # dense LU passes the gate
+    inst = _grid(25)
     times = hitting_to_blue(inst).times
-    assert misses == [True]
+    assert misses == [True] and seen == [("dense", 624)]
     assert times.tobytes() == _direct(monkeypatch,
                                       lambda: hitting_to_blue(inst).times).tobytes()
-    # both paths miss: the failure names the direct path and its size
+    # both paths miss on a 200-node kernel of 549 unknowns: the failure names
+    # the direct path and its size
     misses.clear()
     with pytest.raises(SolverFailure,
-                       match=r"after refinement \(dense LU, 559 unknowns\)$"):
-        hitting_to_blue(gen_lollipop(500, 60))
+                       match=r"after refinement \(dense LU, 549 unknowns\)$"):
+        hitting_to_blue(gen_lollipop(350, 200))
     assert misses == [True]
+    # 549 unknowns, cycle-rich by rank, but with a 30-node kernel: no CG run,
+    # and sparse LU passes the gate
+    misses.clear()
+    seen.clear()
+    hitting_to_blue(gen_lollipop(520, 30))
+    assert misses == [] and seen == [("sparse", 549)]
 
 
 @pytest.mark.parametrize("dense_limit, path", [(DENSE_NODE_LIMIT, "dense LU"),
@@ -338,7 +385,9 @@ _PATH_CASES = pytest.mark.parametrize("make, dense_limit, factors", [
     (lambda: gen_planted_two_community(200, 200, 0.1, 0.01, 1),
      DENSE_NODE_LIMIT, [("dense", 200)]),
     (lambda: gen_lollipop(50, 20), 0, [("sparse", 69)]),
-], ids=["CG", "dense LU", "sparse LU"])
+    # sparse LU by default: a 30-node kernel in 429 unknowns
+    (lambda: gen_lollipop(400, 30), DENSE_NODE_LIMIT, [("sparse", 429)]),
+], ids=["CG", "dense LU", "sparse LU", "sparse LU small kernel"])
 
 
 @_PATH_CASES
@@ -414,7 +463,7 @@ def test_one_red_block_per_instance(monkeypatch, estimator_first):
     adjacency = inst._red_chain.adjacency
     np.testing.assert_array_equal(inst._red_block.cols, adjacency.indices)
     for arr in (adjacency.data, adjacency.indices, adjacency.indptr,
-                inst._red_block.rows, inst._red_block.cols):
+                *inst._red_chain.pattern, inst._red_block.rows, inst._red_block.cols):
         assert not arr.flags.writeable
 
     # every other transient set builds its own block on every call
@@ -474,12 +523,17 @@ def test_cg_times_are_pinned(monkeypatch):
     assert _sha1(times) == "b839a8a600d4b775a990912f5595a8cdf87fc852"
 
 
-def test_lollipop_shortcut_times_are_pinned_on_the_sparse_path():
-    # the 429-unknown block takes dense LU by default, whose bits vary with
-    # the BLAS thread count; the sparse path's bits do not
+def test_lollipop_shortcut_times_are_pinned_on_the_sparse_path(monkeypatch):
+    # the 429-unknown block's 30-node kernel sends it to sparse LU by
+    # default, whose bits do not vary with the BLAS thread count; a forced
+    # dense solve agrees to rounding
     inst, shortcuts = gen_lollipop(400, 30), ShortcutSet((50, 200, 399, 420))
-    sparse = hitting_to_blue(inst, shortcuts, dense_limit=0).times
-    assert _sha1(sparse) == "a6fafcb918e6f6b5d217410741a034980266a2ae"
-    dense = hitting_to_blue(inst, shortcuts).times
-    assert dense.tobytes() == hitting_to_blue(inst, shortcuts).times.tobytes()
-    np.testing.assert_allclose(dense, sparse, rtol=1e-12, atol=0)
+    seen = _record_factors(monkeypatch)
+    default = hitting_to_blue(inst, shortcuts).times
+    assert seen == [("sparse", 429)]
+    assert _sha1(default) == "a6fafcb918e6f6b5d217410741a034980266a2ae"
+    with monkeypatch.context() as patched:
+        patched.setattr(exact._Block, "cyclic", True)
+        dense = hitting_to_blue(gen_lollipop(400, 30), shortcuts).times
+    assert seen[-1] == ("dense", 429)
+    np.testing.assert_allclose(dense, default, rtol=1e-12, atol=0)
